@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci conform conform-smoke cover serve loadtest bench bench-smoke clean
+.PHONY: all vet build test race perfbench-test fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci conform conform-smoke cover serve loadtest bench bench-smoke clean
 
 all: build
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own module (the end-to-end benchmark), so the root
+# `go test ./...` never builds it; vet and test it here so an internal
+# API change cannot break the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short differential-fuzz pass: every registered scheduler against the
 # independent oracles on randomized instances, plus the journal replay
@@ -69,7 +75,7 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet build test race fuzz-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover vulncheck
+ci: vet build test race perfbench-test fuzz-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover vulncheck
 
 # Full metamorphic conformance matrix (nightly soak): every registered
 # scheduler × every generator regime × every relation, with minimized

@@ -31,7 +31,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/plot"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -178,7 +177,7 @@ func writeCSV(dir string, res *experiments.Result) error {
 		return err
 	}
 	defer f.Close()
-	if err := trace.WriteCSV(f, res); err != nil {
+	if err := experiments.WriteCSV(f, res); err != nil {
 		return err
 	}
 	fmt.Printf("# wrote %s\n", path)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	schedd [-addr :8080] [-workers N] [-queue 64] [-cache 1024]
-//	       [-timeout 5s] [-max-tasks 10000] [-no-verify] [-quiet]
+//	       [-timeout 5s] [-max-tasks 10000] [-quiet]
 //	       [-fallback MaxFreq] [-breaker-threshold 5] [-breaker-cooldown 2s]
 //	       [-sessions 256] [-session-ttl 0] [-session-backlog 1024]
 //	       [-data-dir DIR] [-fsync interval]
@@ -90,7 +90,6 @@ func main() {
 		cache    = fs.Int("cache", 1024, "solve-cache capacity (-1 disables)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request solve deadline")
 		maxTasks = fs.Int("max-tasks", 10000, "reject larger instances with 400")
-		noVerify = fs.Bool("no-verify", false, "skip the in-band schedule verification guardrail")
 		grace    = fs.Duration("grace", 5*time.Second, "drain timeout on shutdown")
 		quiet    = fs.Bool("quiet", false, "suppress per-request log lines")
 
@@ -153,7 +152,6 @@ func main() {
 		CacheSize:          *cache,
 		SolveTimeout:       *timeout,
 		MaxTasks:           *maxTasks,
-		DisableVerify:      *noVerify,
 		GraceTimeout:       *grace,
 		Logger:             logger,
 		FallbackAlgorithm:  *fallbackAlg,
@@ -184,8 +182,8 @@ func main() {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(os.Stderr, "schedd: listening on %s (workers=%d queue=%d cache=%d timeout=%s verify=%t)\n",
-		*addr, nw, *queue, *cache, *timeout, !*noVerify)
+	fmt.Fprintf(os.Stderr, "schedd: listening on %s (workers=%d queue=%d cache=%d timeout=%s)\n",
+		*addr, nw, *queue, *cache, *timeout)
 	if err := srv.ListenAndServe(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "schedd: %v\n", err)
 		os.Exit(1)

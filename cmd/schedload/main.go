@@ -252,15 +252,14 @@ func main() {
 	os.Exit(exit)
 }
 
-// retryableStatus reports whether an HTTP status is a transient failure
-// worth retrying: admission pushback and gateway-style server errors.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
+// statusError describes a non-2xx response as "HTTP <status>: <code>:
+// <message>" from its error envelope, or with the raw body when the
+// body is not an envelope.
+func statusError(status int, body []byte) string {
+	if d, ok := wire.DecodeError(body); ok {
+		return fmt.Sprintf("HTTP %d: %s: %s", status, d.Code, d.Message)
 	}
-	return false
+	return fmt.Sprintf("HTTP %d: %s", status, bytes.TrimSpace(body))
 }
 
 // backoffWait computes the next retry delay: exponential from 50ms with
@@ -297,7 +296,7 @@ func shoot(client *http.Client, url string, body []byte, ts task.Set, cores int,
 			resp.Body.Close()
 			retryAfter = resp.Header.Get("Retry-After")
 		}
-		transient := err != nil || retryableStatus(resp.StatusCode)
+		transient := err != nil || wire.RetryableStatus(resp.StatusCode)
 		if !transient || attempt >= retries {
 			break
 		}
@@ -315,9 +314,7 @@ func shoot(client *http.Client, url string, body []byte, ts task.Set, cores int,
 	st.codes[resp.StatusCode]++
 	if resp.StatusCode != http.StatusOK {
 		if st.firstErr == "" {
-			var e wire.ErrorResponse
-			_ = json.Unmarshal(payload, &e)
-			st.firstErr = fmt.Sprintf("HTTP %d: %s", resp.StatusCode, e.Error)
+			st.firstErr = statusError(resp.StatusCode, payload)
 		}
 		return
 	}

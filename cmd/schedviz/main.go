@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -59,16 +60,20 @@ func main() {
 	}
 	fmt.Println()
 
-	even, der, err := easched.ScheduleBoth(ts, *cores, model)
+	ctx := context.Background()
+	spec := easched.Spec{Tasks: ts, Cores: *cores, Model: model, Method: easched.MethodEven}
+	evenRep, err := easched.Solve(ctx, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedviz: %v\n", err)
 		os.Exit(1)
 	}
-	sol, err := easched.Optimal(ts, *cores, model)
+	spec.Method, spec.Compare = easched.MethodDER, true
+	derRep, err := easched.Solve(ctx, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedviz: %v\n", err)
 		os.Exit(1)
 	}
+	even, der, sol := evenRep.Plan, derRep.Plan, derRep.Optimal
 
 	fmt.Printf("evenly allocating method: E^F1 = %.4f (intermediate %.4f)\n",
 		even.FinalEnergy, even.IntermediateEnergy)

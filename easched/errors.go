@@ -11,23 +11,23 @@ import (
 
 // Error taxonomy of the solve pipeline. Every error returned by Solve
 // and SolveBatch matches exactly one of these sentinels under errors.Is
-// (plus the generic "solver error" case), so callers — in particular
-// the schedd serving layer — can map failures to distinct behaviors
-// (HTTP statuses, circuit-breaker accounting, fallback eligibility)
-// without string matching.
+// (plus the generic "solver error" case), so callers can map failures
+// to distinct behaviors without string matching. The sentinels are
+// defined in internal/check, which the schedd serving layer shares, so
+// the identities below are the ones the daemon classifies against.
 var (
 	// ErrInfeasible marks an instance that cannot meet its deadlines
 	// under the requested constraints (e.g. MethodCapped below the
 	// minimal feasible speed).
-	ErrInfeasible = errors.New("easched: instance infeasible")
+	ErrInfeasible = check.ErrInfeasible
 	// ErrDeadlineExceeded marks a solve aborted by its context deadline.
-	ErrDeadlineExceeded = errors.New("easched: solve deadline exceeded")
+	ErrDeadlineExceeded = check.ErrDeadlineExceeded
 	// ErrSolverPanic marks a panic recovered inside a solver; errors.As
 	// with *PanicError recovers the panic value and stack.
 	ErrSolverPanic = check.ErrSolverPanic
 	// ErrInvalidSchedule marks a produced schedule the universal
 	// validator rejected.
-	ErrInvalidSchedule = errors.New("easched: produced schedule failed validation")
+	ErrInvalidSchedule = check.ErrInvalidSchedule
 )
 
 // PanicError carries a recovered solver panic (value + stack). It is

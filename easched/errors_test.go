@@ -7,8 +7,32 @@ import (
 	"time"
 
 	"repro/easched"
+	"repro/internal/check"
 	"repro/internal/fault"
 )
+
+// TestTaxonomyReexported pins the facade's sentinels to the shared
+// taxonomy in internal/check: the same error values (so errors.Is
+// agrees between library callers and the serving layer) with the
+// messages the facade has always reported.
+func TestTaxonomyReexported(t *testing.T) {
+	for _, c := range []struct {
+		facade, shared error
+		msg            string
+	}{
+		{easched.ErrInfeasible, check.ErrInfeasible, "easched: instance infeasible"},
+		{easched.ErrDeadlineExceeded, check.ErrDeadlineExceeded, "easched: solve deadline exceeded"},
+		{easched.ErrSolverPanic, check.ErrSolverPanic, "solver panicked"},
+		{easched.ErrInvalidSchedule, check.ErrInvalidSchedule, "easched: produced schedule failed validation"},
+	} {
+		if c.facade != c.shared {
+			t.Errorf("%q: facade sentinel is not the check sentinel", c.msg)
+		}
+		if got := c.facade.Error(); got != c.msg {
+			t.Errorf("Error() = %q, want %q", got, c.msg)
+		}
+	}
+}
 
 // sectionVDSpec builds the paper's Section V.D example as a Solve spec.
 func sectionVDSpec(t *testing.T) easched.Spec {

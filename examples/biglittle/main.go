@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,22 +49,27 @@ func main() {
 	}
 
 	// Plain pipeline: check whether it would exceed the frequency range.
-	plain, err := easched.Schedule(tasks, 4, model, easched.DER)
+	ctx := context.Background()
+	spec := easched.Spec{Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodDER}
+	rep, err := easched.Solve(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	plain := rep.Plan
 	qPlain := easched.Quantize(plain.Final, tab)
 	fmt.Printf("plain DER schedule: peak frequency %.0f MHz (f_max %.0f), missed tasks: %d\n",
 		plain.Final.PeakFrequency(), tab.MaxFrequency(), len(qPlain.MissedTasks))
 
 	// Cap-aware scheduling: guaranteed miss-free on feasible instances.
-	capped, err := easched.ScheduleCapped(tasks, 4, model, easched.DER, tab.MaxFrequency())
+	spec.Method, spec.FrequencyCap = easched.MethodCapped, tab.MaxFrequency()
+	rep, err = easched.Solve(ctx, spec)
 	if errors.Is(err, easched.ErrInfeasibleAtCap) {
 		log.Fatal("this instance is infeasible at f_max — no scheduler could serve it")
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	capped := rep.Capped
 	qCap := easched.Quantize(capped.Schedule, tab)
 	fmt.Printf("cap-aware schedule:  peak frequency %.0f MHz, missed tasks: %d (fallback used: %v)\n\n",
 		capped.Schedule.PeakFrequency(), len(qCap.MissedTasks), capped.UsedFallback)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,10 +43,11 @@ func main() {
 	var rows []row
 
 	// The paper's pipeline, quantized to the real frequency grid.
-	plan, err := easched.Schedule(tasks, 4, model, easched.DER)
+	rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodDER})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := rep.Plan
 	q := easched.Quantize(plan.Final, tab)
 	rows = append(rows, row{"DER schedule (paper, quantized)", q.Energy, len(q.MissedTasks)})
 	split := easched.QuantizeSplit(plan.Final, tab)

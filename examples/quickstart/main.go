@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,11 +28,20 @@ func main() {
 	// A cubic dynamic power model without static power: p(f) = f³.
 	model := easched.NewModel(3, 0)
 
-	// Run both allocation methods on four cores.
-	even, der, err := easched.ScheduleBoth(tasks, 4, model)
+	// Run both allocation methods on four cores; the DER solve also
+	// solves the convex program for the optimum (Compare).
+	ctx := context.Background()
+	spec := easched.Spec{Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodEven}
+	evenRep, err := easched.Solve(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	spec.Method, spec.Compare = easched.MethodDER, true
+	derRep, err := easched.Solve(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	even, der := evenRep.Plan, derRep.Plan
 	fmt.Printf("evenly allocating method: E = %.4f\n", even.FinalEnergy)
 	fmt.Printf("DER-based method:         E = %.4f\n\n", der.FinalEnergy)
 
@@ -45,12 +55,8 @@ func main() {
 	}
 
 	// How close is the lightweight heuristic to the true optimum?
-	sol, err := easched.Optimal(tasks, 4, model)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nconvex optimum E^opt = %.4f → NEC of the heuristic = %.4f\n",
-		sol.Energy, der.FinalEnergy/sol.Energy)
+		derRep.Optimal.Energy, derRep.NEC)
 
 	// Replay the schedule in the discrete-event simulator as a final
 	// sanity check.

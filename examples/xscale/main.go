@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,18 +47,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	even, der, err := easched.ScheduleBoth(tasks, 4, model)
+	ctx := context.Background()
+	spec := easched.Spec{Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodEven}
+	evenRep, err := easched.Solve(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	spec.Method, spec.Compare = easched.MethodDER, true
+	derRep, err := easched.Solve(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	even, der, sol := evenRep.Plan, derRep.Plan, derRep.Optimal
 
 	// Quantize the continuous schedules onto the real operating points.
 	qEven := easched.Quantize(even.Final, tab)
 	qDer := easched.Quantize(der.Final, tab)
-	sol, err := easched.Optimal(tasks, 4, model)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("%-28s %14s %14s %8s\n", "schedule", "E continuous", "E quantized", "misses")
 	fmt.Printf("%-28s %14.1f %14.1f %8d\n", "evenly allocating (F1)",

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,24 +24,27 @@ func main() {
 	)
 
 	// --- Uniprocessor: YDS (Fig. 2(a)) ---
-	sched, prof, err := easched.YDS(tasks)
+	ctx := context.Background()
+	cubic := easched.NewModel(3, 0)
+	yds, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 1, Model: cubic, Method: easched.MethodYDS})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("YDS speed profile (uniprocessor):")
-	for _, b := range prof.Bands {
+	for _, b := range yds.YDSProfile.Bands {
 		fmt.Printf("  [%4.1f, %4.1f] speed %.3f\n", b.Start, b.End, b.Speed)
 	}
-	cubic := easched.NewModel(3, 0)
-	fmt.Printf("energy under p(f)=f³: %.4f\n\n", sched.Energy(cubic))
-	fmt.Print(sched.Gantt(72))
+	fmt.Printf("energy under p(f)=f³: %.4f\n\n", yds.Energy)
+	fmt.Print(yds.Schedule.Gantt(72))
 
 	// --- Two cores with static power: the Section II optimum ---
+	// One DER solve with Compare also solves the convex program.
 	model := easched.NewModel(3, 0.01) // p(f) = f³ + 0.01
-	sol, err := easched.Optimal(tasks, 2, model)
+	der, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 2, Model: model, Method: easched.MethodDER, Compare: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol := der.Optimal
 	fmt.Printf("\ntwo-core optimum under %v:\n", model)
 	fmt.Printf("  E^opt = %.6f (paper's KKT: 155/32 + 0.2 = %.6f)\n", sol.Energy, 155.0/32+0.2)
 	for i, a := range sol.Avail {
@@ -48,11 +52,6 @@ func main() {
 	}
 
 	// The lightweight heuristic gets very close at a fraction of the cost.
-	res, err := easched.Schedule(tasks, 2, model, easched.DER)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nDER-based heuristic: E = %.6f (NEC %.4f)\n",
-		res.FinalEnergy, res.FinalEnergy/sol.Energy)
-	fmt.Print(res.Final.Gantt(72))
+	fmt.Printf("\nDER-based heuristic: E = %.6f (NEC %.4f)\n", der.Energy, der.NEC)
+	fmt.Print(der.Schedule.Gantt(72))
 }

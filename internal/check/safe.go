@@ -11,10 +11,24 @@ import (
 	"repro/internal/task"
 )
 
-// ErrSolverPanic marks an error that was recovered from a scheduler
-// panic. Match with errors.Is; the concrete *PanicError (errors.As)
-// carries the panic value and stack.
-var ErrSolverPanic = errors.New("solver panicked")
+// Error taxonomy of the solve pipeline, matched with errors.Is. easched
+// re-exports it and the serving layer classifies against it, so the
+// daemon need not link the facade; the "easched:" message prefixes are
+// the facade's historical text.
+var (
+	// ErrInfeasible marks an instance that cannot meet its deadlines
+	// under the requested constraints.
+	ErrInfeasible = errors.New("easched: instance infeasible")
+	// ErrDeadlineExceeded marks a solve aborted by its context deadline.
+	ErrDeadlineExceeded = errors.New("easched: solve deadline exceeded")
+	// ErrSolverPanic marks an error that was recovered from a scheduler
+	// panic. Match with errors.Is; the concrete *PanicError (errors.As)
+	// carries the panic value and stack.
+	ErrSolverPanic = errors.New("solver panicked")
+	// ErrInvalidSchedule marks a produced schedule the universal
+	// validator rejected.
+	ErrInvalidSchedule = errors.New("easched: produced schedule failed validation")
+)
 
 // PanicError is a recovered scheduler panic converted into an error.
 type PanicError struct {

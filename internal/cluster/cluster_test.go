@@ -123,27 +123,6 @@ func TestOneShotAllBackendsDown(t *testing.T) {
 	_ = rt
 }
 
-func TestRouterCompatErrorShape(t *testing.T) {
-	_, b1 := newBackendServer(t)
-	_, rhs := newRouter(t, b1.URL)
-	resp, err := http.Get(rhs.URL + "/v1/sessions/nope/schedule?compat=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var legacy wire.ErrorResponse
-	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
-		t.Fatalf("compat=1 should produce the legacy shape, got: %s", body)
-	}
-	if bytes.Contains(body, []byte(`"code"`)) {
-		t.Fatalf("compat body leaked envelope fields: %s", body)
-	}
-}
-
 func TestBatchScatterGather(t *testing.T) {
 	_, b1 := newBackendServer(t)
 	_, b2 := newBackendServer(t)
@@ -431,9 +410,10 @@ func TestRendezvousStability(t *testing.T) {
 }
 
 // TestRouterErrorEnvelopeEveryEndpoint drives an error through every
-// v1 endpoint the router exposes and asserts the unified envelope plus
-// the ?compat=1 legacy fallback — whether the error originates at the
-// router itself or is relayed from a backend, clients see one shape.
+// v1 endpoint the router exposes and asserts the unified envelope —
+// whether the error originates at the router itself or is relayed from
+// a backend, clients see one shape. The _compat cases send the retired
+// ?compat=1 opt-in, which must no longer change that shape.
 func TestRouterErrorEnvelopeEveryEndpoint(t *testing.T) {
 	_, b1 := newBackendServer(t)
 	_, rhs := newRouter(t, b1.URL)
@@ -474,38 +454,23 @@ func TestRouterErrorEnvelopeEveryEndpoint(t *testing.T) {
 		return resp.StatusCode, raw
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, body := do(t, tc.method, tc.path, tc.body)
-			if status != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
-			}
-			var env wire.ErrorEnvelope
-			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("not an envelope: %v\n%s", err, body)
-			}
-			if env.Version != wire.Version || env.Error.Code != tc.code || env.Error.Message == "" {
-				t.Errorf("envelope = %+v, want version %d code %q", env, wire.Version, tc.code)
-			}
-			if want := wire.RetryableStatus(tc.status); env.Error.Retryable != want {
-				t.Errorf("retryable = %t, want %t", env.Error.Retryable, want)
-			}
-		})
-		t.Run(tc.name+"_compat", func(t *testing.T) {
-			status, body := do(t, tc.method, tc.path+"?compat=1", tc.body)
-			if status != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
-			}
-			var raw map[string]json.RawMessage
-			if err := json.Unmarshal(body, &raw); err != nil {
-				t.Fatalf("compat body is not JSON: %v\n%s", err, body)
-			}
-			var msg string
-			if err := json.Unmarshal(raw["error"], &msg); err != nil || msg == "" {
-				t.Fatalf(`compat "error" not a non-empty string: %s`, body)
-			}
-			if _, ok := raw["version"]; ok {
-				t.Errorf("compat body leaks version: %s", body)
-			}
-		})
+		for _, v := range []struct{ suffix, query string }{{"", ""}, {"_compat", "?compat=1"}} {
+			t.Run(tc.name+v.suffix, func(t *testing.T) {
+				status, body := do(t, tc.method, tc.path+v.query, tc.body)
+				if status != tc.status {
+					t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
+				}
+				var env wire.ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil {
+					t.Fatalf("not an envelope: %v\n%s", err, body)
+				}
+				if env.Version != wire.Version || env.Error.Code != tc.code || env.Error.Message == "" {
+					t.Errorf("envelope = %+v, want version %d code %q", env, wire.Version, tc.code)
+				}
+				if want := wire.RetryableStatus(tc.status); env.Error.Retryable != want {
+					t.Errorf("retryable = %t, want %t", env.Error.Retryable, want)
+				}
+			})
+		}
 	}
 }

@@ -24,20 +24,37 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	// The client's 200 waits until the first upstream subscription is
+	// open (or the stream is known to be over): a client that subscribes
+	// and then acts on the session must not race the router's own
+	// subscribe and miss the session's history.
+	started := false
+	start := func() {
+		if started {
+			return
+		}
+		started = true
+		h := w.Header()
+		h.Set("Content-Type", "text/event-stream")
+		h.Set("Cache-Control", "no-cache")
+		h.Set("X-Accel-Buffering", "no")
+		w.WriteHeader(http.StatusOK)
+		flusher.Flush()
+	}
+	defer start()
+	end := func() {
+		start()
+		fmt.Fprintf(w, ": stream closed\n\n")
+		flusher.Flush()
+	}
 
 	var outSeq int64
 	lastSeq := int64(-1)
@@ -45,7 +62,7 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		home, gen, epoch, genCh, closed := rt.locationEpoch(sess)
 		if closed || home == nil {
-			writeTerminator(w, flusher)
+			end()
 			return
 		}
 		if epoch != curEpoch {
@@ -70,11 +87,12 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			if _, g, _, cl := rt.location(sess); cl || g == gen {
 				// Session finished (or was torn down) on its home while we
 				// were connecting: the stream is over.
-				writeTerminator(w, flusher)
+				end()
 				return
 			}
 			continue // migrated between location() and connect: re-resolve
 		}
+		start()
 		graceful := rt.pump(w, flusher, resp.Body, genCh, &outSeq, &lastSeq)
 		resp.Body.Close()
 		if r.Context().Err() != nil {
@@ -84,7 +102,7 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			if _, g, _, cl := rt.location(sess); !cl && g != gen {
 				continue // old copy closed because the session moved on
 			}
-			writeTerminator(w, flusher)
+			end()
 			return
 		}
 		// Mid-stream break without the terminator: the backend died.
@@ -168,7 +186,7 @@ func (rt *Router) pump(w io.Writer, flusher http.Flusher, body io.ReadCloser, ge
 			*lastSeq = seq
 		}
 		*outSeq++
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", *outSeq, event, data); err != nil {
+		if err := wire.WriteEvent(w, *outSeq, event, []byte(data)); err != nil {
 			return false
 		}
 		flusher.Flush()
@@ -215,9 +233,4 @@ func (rt *Router) waitGen(ctx context.Context, genCh chan struct{}) bool {
 	case <-t.C:
 		return false
 	}
-}
-
-func writeTerminator(w io.Writer, flusher http.Flusher) {
-	fmt.Fprintf(w, ": stream closed\n\n")
-	flusher.Flush()
 }

@@ -20,41 +20,6 @@ import (
 // this, so the cap only guards against a misbehaving peer.
 const maxProxyBody = 64 << 20
 
-// writeJSON / writeError mirror the schedd wire conventions so a client
-// cannot tell router-origin errors from backend-origin ones: the same
-// versioned envelope, the same ?compat=1 legacy fallback.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func compatRequested(r *http.Request) bool {
-	return r.URL.Query().Get("compat") == "1"
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, status int, code wire.ErrorCode, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if compatRequested(r) {
-		writeJSON(w, status, wire.ErrorResponse{Error: msg})
-		return
-	}
-	writeJSON(w, status, wire.ErrorEnvelope{
-		Version: wire.Version,
-		Error: wire.ErrorDetail{
-			Code:      code,
-			Message:   msg,
-			Retryable: wire.RetryableStatus(status),
-		},
-	})
-}
-
-func retryAfter(w http.ResponseWriter, seconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(seconds))
-}
-
 // reply is a fully buffered backend response.
 type reply struct {
 	status int
@@ -72,13 +37,6 @@ func (rp *reply) relay(w http.ResponseWriter) {
 	}
 	w.WriteHeader(rp.status)
 	w.Write(rp.body)
-}
-
-// retryableReply reports whether a backend response should bounce the
-// request to another backend: overload and gateway-ish failures, the
-// same set the wire envelope marks retryable.
-func retryableReply(status int) bool {
-	return wire.RetryableStatus(status)
 }
 
 // do performs one buffered proxy exchange against a backend. Transport
@@ -210,7 +168,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 			rt.cfg.Logger.Printf("msg=%q backend=%s path=%s err=%q", "proxy failed", b.name, r.URL.Path, err)
 			continue
 		}
-		if retryableReply(rp.status) {
+		if wire.RetryableStatus(rp.status) {
 			// 429 is load shedding, not a fault: it must not open the
 			// breaker, or a saturated backend would be ejected exactly
 			// when its peers are busiest.
@@ -231,8 +189,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 		last.relay(w)
 		return
 	}
-	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
+	wire.RetryAfter(w, 1)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
 // sleepRetryAfter pauses for the last reply's Retry-After hint (capped
@@ -263,13 +221,13 @@ func (rt *Router) sleepRetryAfter(ctx context.Context, last *reply) bool {
 // /v1/feasible, /v1/algorithms) through the load-balanced pool.
 func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	if len(body) == 0 {
@@ -285,22 +243,22 @@ func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 // entries rather than failing the whole batch.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	var req wire.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "decode: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "decode: %v", err)
 		return
 	}
 	shards := len(rt.healthy())
@@ -340,7 +298,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	sort.Slice(items, func(i, j int) bool { return items[i].Index < items[j].Index })
-	writeJSON(w, http.StatusOK, wire.BatchResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
 		Version:   wire.Version,
 		Items:     items,
 		ElapsedMS: rt.cfg.Now().Sub(start).Seconds() * 1e3,

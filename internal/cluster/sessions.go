@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,13 +101,13 @@ func (rt *Router) setSnapshot(s *routedSession, gen int64, snap *wire.SessionSna
 // unreachable.
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	var req wire.SessionCreateRequest
-	if err := decodeStrict(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	if err := wire.DecodeRequest(w, r, maxProxyBody, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	id := req.ID
@@ -123,7 +122,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	if rt.sessions[id] != nil {
 		rt.mu.Unlock()
-		writeError(w, r, http.StatusConflict, wire.CodeDuplicateSession, "session %q already routed", id)
+		wire.WriteError(w, http.StatusConflict, wire.CodeDuplicateSession, "session %q already routed", id)
 		return
 	}
 	rt.sessions[id] = sess
@@ -132,7 +131,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		rt.forget(id)
-		writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "encode: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode: %v", err)
 		return
 	}
 	order := rank(id, rt.healthy())
@@ -143,7 +142,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			rt.cfg.Logger.Printf("msg=%q backend=%s session=%s err=%q", "create failed", b.name, id, err)
 			continue
 		}
-		if retryableReply(rp.status) {
+		if wire.RetryableStatus(rp.status) {
 			last = rp
 			continue
 		}
@@ -170,8 +169,8 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		last.relay(w)
 		return
 	}
-	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
+	wire.RetryAfter(w, 1)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
 // fetchSnapshot pulls a portable session snapshot from a backend.
@@ -203,19 +202,19 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	const arrivalAttempts = 4
 	for attempt := 0; attempt < arrivalAttempts; attempt++ {
 		home, gen, _, closed := rt.location(sess)
 		if closed || home == nil {
-			writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 			return
 		}
 		rp, err := rt.do(r.Context(), home, http.MethodPost, "/v1/sessions/"+id+"/tasks", r.URL.RawQuery, body)
@@ -225,8 +224,8 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 				return // client gave up; nothing useful to write
 			}
 			if timeoutErr(err) {
-				retryAfter(w, 1)
-				writeError(w, r, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+				wire.RetryAfter(w, 1)
+				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
 			rt.migrateFrom(sess, home, gen)
@@ -238,7 +237,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 			rt.forget(id)
 			rp.relay(w)
 			return
-		case retryableReply(rp.status) && rp.status != http.StatusTooManyRequests:
+		case wire.RetryableStatus(rp.status) && rp.status != http.StatusTooManyRequests:
 			// Backend draining or gateway trouble: move the session.
 			rt.migrateFrom(sess, home, gen)
 			continue
@@ -265,8 +264,8 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		rp.relay(w)
 		return
 	}
-	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
+	wire.RetryAfter(w, 1)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
 }
 
 // handleSessionGet proxies GET /v1/sessions/{id}/schedule.
@@ -286,13 +285,13 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		home, gen, _, closed := rt.location(sess)
 		if closed || home == nil {
-			writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 			return
 		}
 		// The terminal DELETE runs the clairvoyant-optimum solve on the
@@ -310,8 +309,8 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 				return // client gave up; nothing useful to write
 			}
 			if timeoutErr(err) {
-				retryAfter(w, 1)
-				writeError(w, r, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+				wire.RetryAfter(w, 1)
+				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
 			rt.migrateFrom(sess, home, gen)
@@ -332,32 +331,8 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 		rp.relay(w)
 		return
 	}
-	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
-}
-
-// readBody buffers a request body under the proxy cap.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
-}
-
-// decodeStrict mirrors the backend's strict JSON decoding so router
-// rejections match schedd rejections byte-for-byte in spirit.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := readBody(w, r)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return fmt.Errorf("decode: trailing data after JSON body")
-	}
-	return nil
+	wire.RetryAfter(w, 1)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
 }
 
 // migrationWait bounds how long a stream waits for a session to land on

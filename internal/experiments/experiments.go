@@ -13,11 +13,14 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -295,4 +298,53 @@ func sweepPoint(cfg Config, expID, pointIdx int, gen func(rng *rand.Rand) (task.
 		"I2":  aI2.Summarize(),
 		"F2":  aF2.Summarize(),
 	}, nil
+}
+
+// WriteCSV serializes an experiment result as CSV: the first column is
+// the sweep label, then one column per series mean, then (when present)
+// per-series CI half-widths and miss rates.
+func WriteCSV(w io.Writer, r *Result) error {
+	cw := csv.NewWriter(w)
+	hasMiss := false
+	for _, p := range r.Points {
+		if len(p.MissRate) > 0 {
+			hasMiss = true
+			break
+		}
+	}
+	header := []string{r.XLabel}
+	for _, s := range r.SeriesOrder {
+		header = append(header, s)
+	}
+	for _, s := range r.SeriesOrder {
+		header = append(header, s+"_ci95")
+	}
+	if hasMiss {
+		for _, s := range r.SeriesOrder {
+			header = append(header, s+"_miss")
+		}
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
+	for _, p := range r.Points {
+		row := []string{p.Label}
+		for _, s := range r.SeriesOrder {
+			row = append(row, f(p.Series[s].Mean))
+		}
+		for _, s := range r.SeriesOrder {
+			row = append(row, f(p.Series[s].CI95))
+		}
+		if hasMiss {
+			for _, s := range r.SeriesOrder {
+				row = append(row, f(p.MissRate[s]))
+			}
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

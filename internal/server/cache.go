@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/power"
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -59,7 +60,7 @@ type solveCache struct {
 
 type cacheEntry struct {
 	key cacheKey
-	val *ScheduleResponse
+	val *wire.ScheduleResponse
 	// sum is an integrity checksum over the response content, verified on
 	// every hit so a corrupted entry (bit rot, or the cache_corrupt fault
 	// injection point) is detected and dropped instead of served.
@@ -68,7 +69,7 @@ type cacheEntry struct {
 
 // respSum hashes the solve-relevant content of a cached response. Floats
 // hash by IEEE-754 bit pattern, exactly like solveKey.
-func respSum(r *ScheduleResponse) uint64 {
+func respSum(r *wire.ScheduleResponse) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -107,7 +108,7 @@ func newSolveCache(capacity int) *solveCache {
 // A hit whose integrity checksum no longer matches is evicted and
 // reported as corrupted (and a miss), so the caller re-solves instead of
 // shipping a damaged schedule.
-func (c *solveCache) Get(key cacheKey) (resp *ScheduleResponse, ok, corrupted bool) {
+func (c *solveCache) Get(key cacheKey) (resp *wire.ScheduleResponse, ok, corrupted bool) {
 	if c.capacity <= 0 {
 		return nil, false, false
 	}
@@ -130,7 +131,7 @@ func (c *solveCache) Get(key cacheKey) (resp *ScheduleResponse, ok, corrupted bo
 // Put inserts (or refreshes) the outcome for key, evicting the least
 // recently used entry when over capacity. The stored response is shared
 // between hits, so callers must treat it as immutable.
-func (c *solveCache) Put(key cacheKey, val *ScheduleResponse) {
+func (c *solveCache) Put(key cacheKey, val *wire.ScheduleResponse) {
 	if c.capacity <= 0 {
 		return
 	}
@@ -176,7 +177,7 @@ func (c *solveCache) Corrupt(key cacheKey) bool {
 	}
 	e := el.Value.(*cacheEntry)
 	bad := *e.val
-	bad.Segments = append([]SegmentJSON(nil), e.val.Segments...)
+	bad.Segments = append([]wire.SegmentJSON(nil), e.val.Segments...)
 	if len(bad.Segments) > 0 {
 		bad.Segments[0].Frequency *= 1.75 // silently wrong answer
 	} else {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/power"
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -51,8 +52,8 @@ func TestSolveCacheLRU(t *testing.T) {
 	kb := solveKey("b", nil, 1, pm)
 	kc := solveKey("c", nil, 1, pm)
 
-	c.Put(ka, &ScheduleResponse{Algorithm: "a"})
-	c.Put(kb, &ScheduleResponse{Algorithm: "b"})
+	c.Put(ka, &wire.ScheduleResponse{Algorithm: "a"})
+	c.Put(kb, &wire.ScheduleResponse{Algorithm: "b"})
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
@@ -61,7 +62,7 @@ func TestSolveCacheLRU(t *testing.T) {
 	if _, ok, _ := c.Get(ka); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put(kc, &ScheduleResponse{Algorithm: "c"})
+	c.Put(kc, &wire.ScheduleResponse{Algorithm: "c"})
 	if _, ok, _ := c.Get(kb); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -73,7 +74,7 @@ func TestSolveCacheLRU(t *testing.T) {
 	}
 
 	// Refreshing an existing key replaces the value without growing.
-	c.Put(ka, &ScheduleResponse{Algorithm: "a2"})
+	c.Put(ka, &wire.ScheduleResponse{Algorithm: "a2"})
 	if v, _, _ := c.Get(ka); v.Algorithm != "a2" {
 		t.Fatal("refresh did not replace the value")
 	}
@@ -85,7 +86,7 @@ func TestSolveCacheLRU(t *testing.T) {
 func TestSolveCacheDisabled(t *testing.T) {
 	c := newSolveCache(0)
 	k := solveKey("a", nil, 1, power.Model{Alpha: 2, Gamma: 1})
-	c.Put(k, &ScheduleResponse{})
+	c.Put(k, &wire.ScheduleResponse{})
 	if _, ok, _ := c.Get(k); ok {
 		t.Fatal("disabled cache returned a hit")
 	}

@@ -24,8 +24,8 @@ func TestSnapshotRestoreAcrossProcesses(t *testing.T) {
 	_, hsA := newTestServer(t, Config{})
 	_, hsB := newTestServer(t, Config{})
 
-	created := createSession(t, hsA.URL, SessionCreateRequest{
-		Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+	created := createSession(t, hsA.URL, wire.SessionCreateRequest{
+		Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 	})
 	id := created.ID
 
@@ -72,7 +72,7 @@ func TestSnapshotRestoreAcrossProcesses(t *testing.T) {
 	if rresp.StatusCode != http.StatusCreated {
 		t.Fatalf("restore status %d: %s", rresp.StatusCode, payload)
 	}
-	var restored SessionCreateResponse
+	var restored wire.SessionCreateResponse
 	if err := json.Unmarshal(payload, &restored); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func getCommitted(t *testing.T, baseURL, id string) []wire.SegmentJSON {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out SessionScheduleResponse
+	var out wire.SessionScheduleResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,13 +37,7 @@ var envelopeCases = []struct {
 
 func doEnvelopeRequest(t *testing.T, base, method, path, body string) (*http.Response, []byte) {
 	t.Helper()
-	var rd *strings.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	} else {
-		rd = strings.NewReader("")
-	}
-	req, err := http.NewRequest(method, base+path, rd)
+	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -54,9 +49,8 @@ func doEnvelopeRequest(t *testing.T, base, method, path, body string) (*http.Res
 		t.Fatalf("do: %v", err)
 	}
 	defer resp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := resp.Body.Read(buf[:])
-	return resp, buf[:n]
+	raw, _ := io.ReadAll(resp.Body)
+	return resp, raw
 }
 
 // checkEnvelope asserts the unified error shape on a non-2xx body.
@@ -80,25 +74,10 @@ func checkEnvelope(t *testing.T, body []byte, status int, code wire.ErrorCode) {
 	}
 }
 
-// checkCompat asserts the legacy pre-envelope {"error":"..."} shape.
-func checkCompat(t *testing.T, body []byte) {
-	t.Helper()
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatalf("compat body is not JSON: %v\n%s", err, body)
-	}
-	var msg string
-	if err := json.Unmarshal(raw["error"], &msg); err != nil || msg == "" {
-		t.Fatalf(`compat "error" is not a non-empty string: %s`, body)
-	}
-	if _, ok := raw["version"]; ok {
-		t.Errorf("compat body leaks the envelope version field: %s", body)
-	}
-}
-
 // TestErrorEnvelopeEveryEndpoint drives an error through every v1
-// endpoint and asserts both the unified envelope and, with ?compat=1,
-// the legacy error shape — the wire-API consolidation contract.
+// endpoint and asserts the unified envelope — the wire-API
+// consolidation contract. The _compat cases send the retired ?compat=1
+// opt-in, which must no longer change the shape.
 func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 	srv := New(Config{Addr: "127.0.0.1:0"})
 	defer srv.Close()
@@ -106,19 +85,14 @@ func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 	defer hs.Close()
 
 	for _, tc := range envelopeCases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path, tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
-			}
-			checkEnvelope(t, body, tc.status, tc.code)
-		})
-		t.Run(tc.name+"_compat", func(t *testing.T) {
-			resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path+"?compat=1", tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
-			}
-			checkCompat(t, body)
-		})
+		for _, v := range []struct{ suffix, query string }{{"", ""}, {"_compat", "?compat=1"}} {
+			t.Run(tc.name+v.suffix, func(t *testing.T) {
+				resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path+v.query, tc.body)
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
+				}
+				checkEnvelope(t, body, tc.status, tc.code)
+			})
+		}
 	}
 }

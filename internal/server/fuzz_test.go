@@ -13,7 +13,7 @@ import (
 // FuzzScheduleHandler throws malformed, truncated, and hostile JSON at
 // POST /v1/schedule. The contract under fuzzing: the handler never
 // panics, never returns a non-JSON error body, and any 200 it does
-// return unmarshals into a well-formed ScheduleResponse.
+// return unmarshals into a well-formed wire.ScheduleResponse.
 func FuzzScheduleHandler(f *testing.F) {
 	seeds := []string{
 		// Valid request (the fuzzer mutates from here).
@@ -58,7 +58,7 @@ func FuzzScheduleHandler(f *testing.F) {
 		defer res.Body.Close()
 		switch {
 		case res.StatusCode == http.StatusOK:
-			var sr ScheduleResponse
+			var sr wire.ScheduleResponse
 			if err := json.NewDecoder(res.Body).Decode(&sr); err != nil {
 				t.Fatalf("200 with unparseable body: %v", err)
 			}

@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"repro/easched"
 	"repro/internal/check"
 	"repro/internal/dispatch"
 	"repro/internal/fault"
@@ -23,12 +21,25 @@ import (
 	"repro/internal/trace"
 )
 
-// writeJSON emits v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+// maxBodyBytes bounds request bodies so a single client cannot exhaust
+// memory; generously sized for tens of thousands of tasks.
+const maxBodyBytes = 8 << 20
+
+// validateInstance applies the shared task-set/core-count limits.
+func validateInstance(ts task.Set, cores, maxTasks int) error {
+	if cores <= 0 {
+		return fmt.Errorf("cores must be >= 1, have %d", cores)
+	}
+	if len(ts) == 0 {
+		return fmt.Errorf("task set is empty")
+	}
+	if maxTasks > 0 && len(ts) > maxTasks {
+		return fmt.Errorf("task set has %d tasks, limit is %d", len(ts), maxTasks)
+	}
+	if err := ts.Validate(); err != nil {
+		return err
+	}
+	return nil
 }
 
 // Sentinel causes threaded through error chains so errorCode can
@@ -39,20 +50,20 @@ var (
 )
 
 // errorCode maps a failure to its wire error code, preferring the
-// easched/dispatch error taxonomy over the blunt HTTP status.
+// check/dispatch error taxonomy over the blunt HTTP status.
 func errorCode(status int, err error) wire.ErrorCode {
 	switch {
 	case errors.Is(err, errBreakerOpen):
 		return wire.CodeBreakerOpen
 	case errors.Is(err, errUnknownAlgorithm):
 		return wire.CodeUnknownAlgorithm
-	case errors.Is(err, easched.ErrInfeasible):
+	case errors.Is(err, check.ErrInfeasible):
 		return wire.CodeInfeasible
-	case errors.Is(err, easched.ErrSolverPanic):
+	case errors.Is(err, check.ErrSolverPanic):
 		return wire.CodeSolverPanic
-	case errors.Is(err, easched.ErrInvalidSchedule):
+	case errors.Is(err, check.ErrInvalidSchedule):
 		return wire.CodeInvalidSchedule
-	case errors.Is(err, easched.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, check.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
 		return wire.CodeTimeout
 	case errors.Is(err, context.Canceled):
 		return wire.CodeCanceled
@@ -87,38 +98,10 @@ func errorCode(status int, err error) wire.ErrorCode {
 	}
 }
 
-// compatRequested reports whether the client opted into the legacy
-// pre-envelope {"error":"..."} error shape (kept for one release).
-func compatRequested(r *http.Request) bool {
-	return r != nil && r.URL.Query().Get("compat") == "1"
-}
-
-// writeError emits the unified error envelope — or, when the request
-// carries ?compat=1, the legacy {"error":"..."} shape.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code wire.ErrorCode, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if compatRequested(r) {
-		writeJSON(w, status, ErrorResponse{Error: msg})
-		return
-	}
-	writeJSON(w, status, wire.ErrorEnvelope{
-		Version: wire.Version,
-		Error: wire.ErrorDetail{
-			Code:      code,
-			Message:   msg,
-			Retryable: wire.RetryableStatus(status),
-		},
-	})
-}
-
-// writeErrorFor is writeError with the code derived from (status, err).
-func writeErrorFor(w http.ResponseWriter, r *http.Request, status int, err error) {
-	writeError(w, r, status, errorCode(status, err), "%v", err)
-}
-
-// retryAfter marks an overload/draining response as retryable.
-func retryAfter(w http.ResponseWriter, seconds int) {
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", seconds))
+// writeErrorFor writes the error envelope with the code derived from
+// (status, err).
+func writeErrorFor(w http.ResponseWriter, status int, err error) {
+	wire.WriteError(w, status, errorCode(status, err), "%v", err)
 }
 
 // solveResult carries one solver outcome across the cancellation select.
@@ -135,7 +118,7 @@ type solveResult struct {
 // slot is released only when the solver goroutine actually returns.
 //
 // A panic inside the solver (real or injected) is recovered into a
-// typed error matching easched.ErrSolverPanic — the daemon never
+// typed error matching check.ErrSolverPanic — the daemon never
 // crashes on a pathological instance.
 func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, done func()) solveResult {
 	ch := make(chan solveResult, 1)
@@ -178,7 +161,7 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 // the per-attempt timeout, and the validator guardrail, and reports the
 // outcome with its HTTP-style status. It is the single attempt the
 // fallback chain composes.
-func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -207,7 +190,7 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *Sch
 		case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
 			s.metrics.canceled.Add(1)
 			return nil, 0, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
-		case errors.Is(res.err, easched.ErrSolverPanic):
+		case errors.Is(res.err, check.ErrSolverPanic):
 			s.metrics.solvePanics.Add(1)
 			return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
 		default:
@@ -219,17 +202,15 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *Sch
 	// Guardrail: never ship a schedule the universal validator rejects.
 	// The validator_reject fault point simulates a guardrail rejection of
 	// a good schedule, exercising the same degradation path.
-	if !s.cfg.DisableVerify {
-		violations := check.Validate(res.sched, req.Tasks, req.Cores, pm)
-		if len(violations) == 0 && s.faults().Should(fault.ValidatorReject) {
-			violations = []check.Violation{{Kind: check.KindEnergy, Task: -1, Detail: "injected validator rejection"}}
-		}
-		if len(violations) > 0 {
-			s.metrics.verifyFailures.Add(1)
-			return nil, 0, http.StatusInternalServerError,
-				fmt.Errorf("produced schedule failed verification: %w: %v (+%d more)",
-					easched.ErrInvalidSchedule, violations[0], len(violations)-1)
-		}
+	violations := check.Validate(res.sched, req.Tasks, req.Cores, pm)
+	if len(violations) == 0 && s.faults().Should(fault.ValidatorReject) {
+		violations = []check.Violation{{Kind: check.KindEnergy, Task: -1, Detail: "injected validator rejection"}}
+	}
+	if len(violations) > 0 {
+		s.metrics.verifyFailures.Add(1)
+		return nil, 0, http.StatusInternalServerError,
+			fmt.Errorf("produced schedule failed verification: %w: %v (+%d more)",
+				check.ErrInvalidSchedule, violations[0], len(violations)-1)
 	}
 	return res.sched, res.energy, http.StatusOK, nil
 }
@@ -262,7 +243,7 @@ func breakerCountable(status int, err error) bool {
 // returns the response (and the realized schedule when freshly solved)
 // or an HTTP-style status and error. Shared by POST /v1/schedule and
 // each item of POST /v1/schedule/batch.
-func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*ScheduleResponse, *schedule.Schedule, int, error) {
+func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleResponse, *schedule.Schedule, int, error) {
 	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -306,15 +287,15 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 		sched, energy, status, err := s.runVerified(reqCtx, entry, req, pm)
 		if err == nil {
 			br.Success()
-			resp := &ScheduleResponse{
+			resp := &wire.ScheduleResponse{
 				Version:   wire.Version,
 				Algorithm: req.Algorithm,
 				Cores:     req.Cores,
 				Energy:    energy,
 				BusyTime:  sched.BusyTime(),
 				Makespan:  sched.Makespan(),
-				Verified:  !s.cfg.DisableVerify,
-				Segments:  segmentsJSON(sched),
+				Verified:  true,
+				Segments:  wire.Segments(sched),
 				Sim:       simReport(sched, pm),
 			}
 			s.cache.Put(key, resp)
@@ -373,15 +354,15 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	resp := &ScheduleResponse{
+	resp := &wire.ScheduleResponse{
 		Version:           wire.Version,
 		Algorithm:         req.Algorithm,
 		Cores:             req.Cores,
 		Energy:            energy,
 		BusyTime:          sched.BusyTime(),
 		Makespan:          sched.Makespan(),
-		Verified:          !s.cfg.DisableVerify,
-		Segments:          segmentsJSON(sched),
+		Verified:          true,
+		Segments:          wire.Segments(sched),
 		Degraded:          true,
 		FallbackAlgorithm: fb.Name,
 		Sim:               simReport(sched, pm),
@@ -415,21 +396,21 @@ func (s *Server) fallbackEntry(requested string) *check.Entry {
 	return &e
 }
 
-// statusForSolveErr maps the easched error taxonomy to HTTP statuses:
+// statusForSolveErr maps the check error taxonomy to HTTP statuses:
 // infeasible instances are the client's problem (422), deadline blows
 // are 504, panics and invalid schedules are server faults (500), and
 // unclassified solver errors remain 422 (unprocessable instance).
 func statusForSolveErr(err error) int {
 	switch {
-	case errors.Is(err, easched.ErrInfeasible):
+	case errors.Is(err, check.ErrInfeasible):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, easched.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, check.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, easched.ErrSolverPanic):
+	case errors.Is(err, check.ErrSolverPanic):
 		return http.StatusInternalServerError
-	case errors.Is(err, easched.ErrInvalidSchedule):
+	case errors.Is(err, check.ErrInvalidSchedule):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity
@@ -439,28 +420,28 @@ func statusForSolveErr(err error) int {
 // handleSchedule serves POST /v1/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	start := time.Now()
 
-	var req ScheduleRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	var req wire.ScheduleRequest
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	resp, sched, code, err := s.solveOne(r.Context(), &req)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			retryAfter(w, 1)
+			wire.RetryAfter(w, 1)
 		}
-		writeErrorFor(w, r, code, err)
+		writeErrorFor(w, code, err)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -478,34 +459,34 @@ const maxBatchItems = 256
 // carry their own HTTP-equivalent status.
 func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	start := time.Now()
 
-	var req BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	var req wire.BatchRequest
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "batch has no items")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "batch has no items")
 		return
 	}
 	if len(req.Items) > maxBatchItems {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest,
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"batch has %d items, limit is %d", len(req.Items), maxBatchItems)
 		return
 	}
 
 	s.metrics.batches.Add(1)
-	items := make([]BatchItem, len(req.Items))
+	items := make([]wire.BatchItem, len(req.Items))
 	// Fan out at most Workers items at a time: each still passes the
 	// admission gate, but a large batch queues here instead of flooding
 	// the shared admission queue (which would 429 its own tail).
@@ -523,7 +504,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 				itemStart := time.Now()
 				resp, _, code, err := s.solveOne(r.Context(), &req.Items[i])
 				if err != nil {
-					items[i] = BatchItem{
+					items[i] = wire.BatchItem{
 						Index: i, Error: err.Error(), Status: code,
 						Code:      errorCode(code, err),
 						Retryable: wire.RetryableStatus(code),
@@ -531,7 +512,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 				resp.ElapsedMS = float64(time.Since(itemStart)) / float64(time.Millisecond)
-				items[i] = BatchItem{Index: i, Response: resp}
+				items[i] = wire.BatchItem{Index: i, Response: resp}
 			}
 		}()
 	}
@@ -540,7 +521,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(idx)
 	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
 		Version:   wire.Version,
 		Items:     items,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
@@ -551,7 +532,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 // ?trace=chrome, a Chrome trace-event document of the schedule (ready
 // for chrome://tracing / Perfetto). Cached responses reconstruct the
 // schedule from the stored segments.
-func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *ScheduleResponse, sched *schedule.Schedule) {
+func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *wire.ScheduleResponse, sched *schedule.Schedule) {
 	if r.URL.Query().Get("trace") == "chrome" {
 		if sched == nil {
 			sched = &schedule.Schedule{Cores: resp.Cores}
@@ -569,7 +550,7 @@ func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *S
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // statusForCtxErr maps a context error to the HTTP status of the (likely
@@ -586,16 +567,16 @@ func statusForCtxErr(err error) int {
 // normalized f_max) plus the bisected minimal feasible speed.
 func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	var req FeasibleRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	var req wire.FeasibleRequest
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	speed := req.Speed
@@ -603,25 +584,25 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 		speed = 1
 	}
 	if speed < 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "speed %g must be positive", speed)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "speed %g must be positive", speed)
 		return
 	}
 	d, err := interval.Decompose(req.Tasks, 1e-9)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
 	feasible, _, err := feas.Feasible(d, req.Cores, speed)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
 	minSpeed, _, err := feas.MinSpeed(d, req.Cores, 1e-9)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FeasibleResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.FeasibleResponse{
 		Feasible: feasible,
 		Speed:    speed,
 		MinSpeed: minSpeed,
@@ -631,10 +612,10 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 // handleAlgorithms serves GET /v1/algorithms.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use GET")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, AlgorithmsResponse{Algorithms: check.Names()})
+	wire.WriteJSON(w, http.StatusOK, wire.AlgorithmsResponse{Algorithms: check.Names()})
 }
 
 // handleHealthz serves GET /healthz: pure liveness. It answers 200 as
@@ -642,7 +623,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // orchestrators don't kill a daemon that is finishing in-flight work.
 // Routing decisions belong to /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"algorithms": len(check.Names()),
 	})
@@ -655,11 +636,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
 	case s.breakers.AllOpen():
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "all circuit breakers open")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "all circuit breakers open")
 	default:
 		resp := map[string]any{"status": "ready"}
 		if s.journalStore() != nil {
@@ -668,7 +649,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			resp["sessions_recovered"] = s.metrics.sessionsRecovered.Load()
 			resp["sessions_recovery_failed"] = s.metrics.sessionsRecoveryFailed.Load()
 		}
-		writeJSON(w, http.StatusOK, resp)
+		wire.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -42,8 +43,8 @@ func TestServerCrashRecovery(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 2; i++ {
-		created := createSession(t, hsA.URL, SessionCreateRequest{
-			Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+		created := createSession(t, hsA.URL, wire.SessionCreateRequest{
+			Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 		})
 		ids = append(ids, created.ID)
 		resp, ar := arrive(t, hsA.URL, created.ID, 0, mustTasks(t,
@@ -61,8 +62,8 @@ func TestServerCrashRecovery(t *testing.T) {
 		}
 	}
 	// A third session deleted cleanly before the crash must NOT return.
-	done := createSession(t, hsA.URL, SessionCreateRequest{
-		Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+	done := createSession(t, hsA.URL, wire.SessionCreateRequest{
+		Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 	})
 	if resp, _ := arrive(t, hsA.URL, done.ID, 0, mustTasks(t,
 		task.Task{Release: 0, Work: 1, Deadline: 6},
@@ -161,8 +162,8 @@ func TestRecoveryCorruptLogFailsSoft(t *testing.T) {
 	_, hsA, _ := newJournaledServer(t, dir)
 	var ids []string
 	for i := 0; i < 2; i++ {
-		created := createSession(t, hsA.URL, SessionCreateRequest{
-			Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+		created := createSession(t, hsA.URL, wire.SessionCreateRequest{
+			Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 		})
 		ids = append(ids, created.ID)
 		if resp, _ := arrive(t, hsA.URL, created.ID, 0, mustTasks(t,

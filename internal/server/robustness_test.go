@@ -4,18 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/easched"
 	"repro/internal/breaker"
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -38,9 +39,9 @@ func init() {
 // mustValidate re-validates a wire response client-side, exactly like
 // cmd/schedload: the chaos invariant is that every 200 is a correct
 // schedule, degraded or not.
-func mustValidate(t *testing.T, body []byte, ts task.Set) ScheduleResponse {
+func mustValidate(t *testing.T, body []byte, ts task.Set) wire.ScheduleResponse {
 	t.Helper()
-	var sr ScheduleResponse
+	var sr wire.ScheduleResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -260,24 +261,32 @@ func firedAny(in *fault.Injector) bool {
 	return false
 }
 
-// TestStatusForSolveErr pins the error-taxonomy → HTTP status mapping.
+// TestStatusForSolveErr pins the error-taxonomy → HTTP status and wire
+// code mapping, for each sentinel bare and wrapped.
 func TestStatusForSolveErr(t *testing.T) {
 	cases := []struct {
-		err  error
-		want int
+		err    error
+		status int
+		code   wire.ErrorCode
 	}{
-		{easched.ErrInfeasible, http.StatusUnprocessableEntity},
-		{easched.ErrDeadlineExceeded, http.StatusGatewayTimeout},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{context.Canceled, http.StatusServiceUnavailable},
-		{easched.ErrSolverPanic, http.StatusInternalServerError},
-		{&check.PanicError{Value: "boom"}, http.StatusInternalServerError},
-		{easched.ErrInvalidSchedule, http.StatusInternalServerError},
-		{errors.New("anything else"), http.StatusUnprocessableEntity},
+		{check.ErrInfeasible, http.StatusUnprocessableEntity, wire.CodeInfeasible},
+		{check.ErrDeadlineExceeded, http.StatusGatewayTimeout, wire.CodeTimeout},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, wire.CodeTimeout},
+		{context.Canceled, http.StatusServiceUnavailable, wire.CodeCanceled},
+		{check.ErrSolverPanic, http.StatusInternalServerError, wire.CodeSolverPanic},
+		{&check.PanicError{Value: "boom"}, http.StatusInternalServerError, wire.CodeSolverPanic},
+		{check.ErrInvalidSchedule, http.StatusInternalServerError, wire.CodeInvalidSchedule},
+		{errors.New("anything else"), http.StatusUnprocessableEntity, wire.CodeUnprocessable},
 	}
 	for _, c := range cases {
-		if got := statusForSolveErr(c.err); got != c.want {
-			t.Errorf("statusForSolveErr(%v) = %d, want %d", c.err, got, c.want)
+		for _, err := range []error{c.err, fmt.Errorf("solve: %w", c.err)} {
+			status := statusForSolveErr(err)
+			if status != c.status {
+				t.Errorf("statusForSolveErr(%v) = %d, want %d", err, status, c.status)
+			}
+			if code := errorCode(status, err); code != c.code {
+				t.Errorf("errorCode(%d, %v) = %q, want %q", status, err, code, c.code)
+			}
 		}
 	}
 }
@@ -299,9 +308,9 @@ func TestCanceledProbeDoesNotWedgeBreaker(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := &ScheduleRequest{
+	req := &wire.ScheduleRequest{
 		Algorithm: "S^F2", Cores: 3,
-		Model: ModelJSON{Alpha: 3, P0: 0.05},
+		Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 		Tasks: sectionVD(t),
 	}
 	if _, _, code, err := srv.solveOne(canceled, req); err == nil || code != http.StatusServiceUnavailable {

@@ -4,10 +4,10 @@
 // cheap enough for practical systems (Section VI.D); this package is
 // that deployment: admission-controlled solves with per-request
 // deadlines, an LRU cache over canonical instance hashes, an in-band
-// easched.Verify guardrail so an invalid schedule is never shipped, and
-// first-class observability (request counters, latency and queue-depth
-// histograms, structured per-request log lines, Chrome-trace responses,
-// pprof).
+// check.Validate guardrail (always on) so an invalid schedule is never
+// shipped, and first-class observability (request counters, latency and
+// queue-depth histograms, structured per-request log lines, Chrome-trace
+// responses, pprof).
 //
 // Endpoints:
 //
@@ -31,9 +31,10 @@
 //	DELETE /v1/sessions/{id}          finish, account vs optimum, tear down
 //
 // Errors: every non-2xx response carries the unified envelope
-// {"version":1,"error":{"code","message","retryable"}} (wire.ErrorEnvelope);
-// the legacy {"error":"..."} shape is still available via ?compat=1 for
-// one release.
+// {"version":1,"error":{"code","message","retryable"}} (wire.ErrorEnvelope),
+// written by wire.WriteError — the same helper the routing tier uses.
+// Failures are classified against the error taxonomy in internal/check,
+// so the daemon does not link the easched facade.
 //
 // Session re-plans run through the same verified solve pipeline
 // (admission gate, timeout, validator guardrail, circuit breaker, fault
@@ -87,9 +88,6 @@ type Config struct {
 	SolveTimeout time.Duration
 	// MaxTasks rejects larger instances with 400 (default 10000).
 	MaxTasks int
-	// DisableVerify turns off the in-band schedule verification
-	// guardrail (only sensible in microbenchmarks).
-	DisableVerify bool
 	// GraceTimeout bounds draining on shutdown (default 5s).
 	GraceTimeout time.Duration
 	// Logger receives one structured line per request; nil discards.

@@ -79,10 +79,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func scheduleBody(t *testing.T, algorithm string, ts task.Set, cores int) []byte {
 	t.Helper()
-	b, err := json.Marshal(ScheduleRequest{
+	b, err := json.Marshal(wire.ScheduleRequest{
 		Algorithm: algorithm,
 		Cores:     cores,
-		Model:     ModelJSON{Alpha: 3, P0: 0.05},
+		Model:     wire.ModelJSON{Alpha: 3, P0: 0.05},
 		Tasks:     ts,
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestScheduleEveryAlgorithm(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
-			var sr ScheduleResponse
+			var sr wire.ScheduleResponse
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Fatal(err)
 			}
@@ -147,9 +147,9 @@ func TestScheduleEveryAlgorithm(t *testing.T) {
 
 func TestScheduleCanonicalEnergy(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	b, err := json.Marshal(ScheduleRequest{
+	b, err := json.Marshal(wire.ScheduleRequest{
 		Algorithm: "S^F2", Cores: 4,
-		Model: ModelJSON{Alpha: 3}, // p(f) = f³
+		Model: wire.ModelJSON{Alpha: 3}, // p(f) = f³
 		Tasks: sectionVD(t),
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestScheduleCanonicalEnergy(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr ScheduleResponse
+	var sr wire.ScheduleResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first: %d %s", resp.StatusCode, payload)
 	}
-	var first ScheduleResponse
+	var first wire.ScheduleResponse
 	if err := json.Unmarshal(payload, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second: %d %s", resp.StatusCode, payload)
 	}
-	var second ScheduleResponse
+	var second wire.ScheduleResponse
 	if err := json.Unmarshal(payload, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("third: %d %s", resp.StatusCode, payload)
 	}
-	var third ScheduleResponse
+	var third wire.ScheduleResponse
 	if err := json.Unmarshal(payload, &third); err != nil {
 		t.Fatal(err)
 	}
@@ -328,20 +328,12 @@ func TestVerifyGuardrail(t *testing.T) {
 	if srv.metrics.verifyFailures.Load() != 1 {
 		t.Fatal("verify failure not counted")
 	}
-
-	// With the guardrail disabled the broken schedule is shipped as-is —
-	// the knob exists only for microbenchmarks.
-	_, hs2 := newTestServer(t, Config{DisableVerify: true})
-	resp, _ = postJSON(t, hs2.URL+"/v1/schedule", scheduleBody(t, "test-broken", sectionVD(t), 4))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("no-verify status %d, want 200", resp.StatusCode)
-	}
 }
 
 func TestFeasibleEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	ts := sectionVD(t)
-	b, err := json.Marshal(FeasibleRequest{Cores: 4, Tasks: ts})
+	b, err := json.Marshal(wire.FeasibleRequest{Cores: 4, Tasks: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +341,7 @@ func TestFeasibleEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var fr FeasibleResponse
+	var fr wire.FeasibleResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +353,7 @@ func TestFeasibleEndpoint(t *testing.T) {
 	}
 
 	// At a ceiling below the minimal speed the same instance is infeasible.
-	b, err = json.Marshal(FeasibleRequest{Cores: 4, Speed: fr.MinSpeed / 2, Tasks: ts})
+	b, err = json.Marshal(wire.FeasibleRequest{Cores: 4, Speed: fr.MinSpeed / 2, Tasks: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +376,7 @@ func TestAlgorithmsHealthzMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ar AlgorithmsResponse
+	var ar wire.AlgorithmsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +541,7 @@ func TestConcurrentSoak(t *testing.T) {
 					errs <- err
 					return
 				}
-				var sr ScheduleResponse
+				var sr wire.ScheduleResponse
 				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
 				if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,7 +36,7 @@ func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 			s.metrics.breakerDenials.Add(1)
 			return nil, 0, fmt.Errorf("%w for algorithm %q", errBreakerOpen, algorithm)
 		}
-		req := &ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
+		req := &wire.ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
 		sched, energy, status, err := s.runVerified(ctx, entry, req, pm)
 		if err == nil {
 			br.Success()
@@ -74,23 +75,23 @@ func (s *Server) sessionHooks() dispatch.Hooks {
 // handleSessionCreate serves POST /v1/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
-	var req SessionCreateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	var req wire.SessionCreateRequest
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if req.Cores <= 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "cores must be >= 1, have %d", req.Cores)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "cores must be >= 1, have %d", req.Cores)
 		return
 	}
 	pm, err := req.Model.Model()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	algorithm := req.Algorithm
@@ -99,11 +100,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	solve, err := s.sessionSolve(algorithm)
 	if err != nil {
-		writeErrorFor(w, r, http.StatusNotFound, err)
+		writeErrorFor(w, http.StatusNotFound, err)
 		return
 	}
 	if req.DebounceMS < 0 || req.Backlog < 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
 		return
 	}
 	backlog := req.Backlog
@@ -138,7 +139,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, journal.ErrWriterOpen):
 			err = fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, id)
 		case err != nil:
-			writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", err)
 			return
 		default:
 			cfg.Journal = s.metered(jw)
@@ -172,24 +173,24 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case errors.Is(err, dispatch.ErrTooManySessions):
-		retryAfter(w, 1)
-		writeErrorFor(w, r, http.StatusTooManyRequests, err)
+		wire.RetryAfter(w, 1)
+		writeErrorFor(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, dispatch.ErrDuplicateSession):
-		writeErrorFor(w, r, http.StatusConflict, err)
+		writeErrorFor(w, http.StatusConflict, err)
 		return
 	case errors.Is(err, dispatch.ErrSessionClosed): // manager draining
-		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.RetryAfter(w, 1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	case err != nil:
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	s.metrics.sessionsOpened.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d backlog=%d",
 		"session created", id, algorithm, req.Cores, backlog)
-	writeJSON(w, http.StatusCreated, SessionCreateResponse{
+	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        id,
 		Algorithm: algorithm,
@@ -203,7 +204,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (string, *dispa
 	id := r.PathValue("id")
 	sess := s.sessions.Get(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return id, nil
 	}
 	return id, sess
@@ -215,26 +216,26 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (string, *dispa
 // overload; partial admission is a 200 reporting both counts.
 func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	_, sess := s.session(w, r)
 	if sess == nil {
 		return
 	}
-	var req ArrivalRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	var req wire.ArrivalRequest
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if len(req.Tasks) == 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "arrival batch is empty")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "arrival batch is empty")
 		return
 	}
 	if s.cfg.MaxTasks > 0 && len(req.Tasks) > s.cfg.MaxTasks {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest,
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"arrival batch has %d tasks, limit is %d", len(req.Tasks), s.cfg.MaxTasks)
 		return
 	}
@@ -243,25 +244,25 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	admitted, shed, err := sess.Arrive(r.Context(), req.At, req.Tasks)
 	switch {
 	case errors.Is(err, dispatch.ErrBadArrival):
-		writeErrorFor(w, r, http.StatusBadRequest, err)
+		writeErrorFor(w, http.StatusBadRequest, err)
 		return
 	case errors.Is(err, dispatch.ErrSessionClosed):
-		writeError(w, r, http.StatusConflict, wire.CodeSessionClosed, "session already finished")
+		wire.WriteError(w, http.StatusConflict, wire.CodeSessionClosed, "session already finished")
 		return
 	case err != nil:
-		writeError(w, r, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "arrival interrupted: %v", err)
+		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "arrival interrupted: %v", err)
 		return
 	}
 	s.metrics.sessionArrivals.Add(int64(admitted))
-	resp := ArrivalResponse{Admitted: admitted, Shed: shed, Stats: sess.Stats()}
+	resp := wire.ArrivalResponse{Admitted: admitted, Shed: shed, Stats: sess.Stats()}
 	if admitted == 0 && shed > 0 {
 		// Backlog pushback: same contract as admission-queue overload.
 		s.metrics.overload.Add(1)
-		retryAfter(w, 1)
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		wire.RetryAfter(w, 1)
+		wire.WriteJSON(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionSchedule serves GET /v1/sessions/{id}/schedule. Pending
@@ -273,10 +274,10 @@ func (s *Server) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := sess.Flush(r.Context()); err != nil && !errors.Is(err, dispatch.ErrSessionClosed) {
-		writeError(w, r, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "flush interrupted: %v", err)
+		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "flush interrupted: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionScheduleResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.SessionScheduleResponse{
 		Version:   wire.Version,
 		ID:        id,
 		Algorithm: sess.Algorithm(),
@@ -298,7 +299,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	f, err := sess.Finish(r.Context())
 	if err != nil {
 		// Context died mid-finish: the session survives for a retry.
-		writeError(w, r, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "finish interrupted: %v", err)
+		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "finish interrupted: %v", err)
 		return
 	}
 	s.sessions.Remove(id)
@@ -308,7 +309,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsClosed.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s energy=%g ratio=%g replans=%d completed=%d shed=%d",
 		"session finished", id, f.RealizedEnergy, f.CompetitiveRatio, f.Replans, f.Completed, f.Shed)
-	resp := SessionFinalResponse{
+	resp := wire.SessionFinalResponse{
 		Version:          wire.Version,
 		ID:               id,
 		Algorithm:        sess.Algorithm(),
@@ -328,9 +329,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		Sim:              wire.SimReport(f.Sim),
 	}
 	if f.Schedule != nil {
-		resp.Segments = segmentsJSON(f.Schedule)
+		resp.Segments = wire.Segments(f.Schedule)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionEvents serves GET /v1/sessions/{id}/events as a
@@ -345,12 +346,12 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
 		return
 	}
 	events, cancel, err := sess.Subscribe()
 	if err != nil {
-		writeError(w, r, http.StatusConflict, wire.CodeSessionClosed, "session closed")
+		wire.WriteError(w, http.StatusConflict, wire.CodeSessionClosed, "session closed")
 		return
 	}
 	defer cancel()
@@ -362,7 +363,6 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	enc := newSSEWriter(w)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -375,7 +375,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 				return
 			}
-			if err := enc.writeEvent(ev); err != nil {
+			// The id is 1-based (Seq+1) to match the router's renumbered
+			// streams: clients can assert gapless ids 1,2,3,... against
+			// either tier.
+			data, err := json.Marshal(ev)
+			if err != nil || wire.WriteEvent(w, ev.Seq+1, string(ev.Type), data) != nil {
 				return // client went away mid-write
 			}
 			flusher.Flush()
@@ -397,14 +401,14 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap, err := sess.Snapshot(r.Context())
 	switch {
 	case errors.Is(err, dispatch.ErrSessionClosed):
-		writeError(w, r, http.StatusConflict, wire.CodeSessionClosed, "session already finished")
+		wire.WriteError(w, http.StatusConflict, wire.CodeSessionClosed, "session already finished")
 		return
 	case err != nil:
-		writeError(w, r, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "snapshot interrupted: %v", err)
+		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "snapshot interrupted: %v", err)
 		return
 	}
 	s.metrics.sessionSnapshots.Add(1)
-	writeJSON(w, http.StatusOK, wire.SessionSnapshotResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.SessionSnapshotResponse{
 		Version:  wire.Version,
 		ID:       id,
 		Snapshot: snap,
@@ -419,31 +423,31 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 // or SSE subscribe sees a session that is already live.
 func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	var req wire.SessionRestoreRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+	if err := wire.DecodeRequest(w, r, maxBodyBytes, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if req.ID == "" {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "restore requires the original session id")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "restore requires the original session id")
 		return
 	}
 	if req.Snapshot == nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "restore requires a snapshot")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "restore requires a snapshot")
 		return
 	}
 	if req.DebounceMS < 0 || req.Backlog < 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
 		return
 	}
 	solve, err := s.sessionSolve(req.Snapshot.Algorithm)
 	if err != nil {
-		writeErrorFor(w, r, http.StatusNotFound, err)
+		writeErrorFor(w, http.StatusNotFound, err)
 		return
 	}
 	backlog := req.Backlog
@@ -466,10 +470,10 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		jw, jerr = st.Writer(req.ID)
 		switch {
 		case errors.Is(jerr, journal.ErrWriterOpen):
-			writeErrorFor(w, r, http.StatusConflict, fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, req.ID))
+			writeErrorFor(w, http.StatusConflict, fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, req.ID))
 			return
 		case jerr != nil:
-			writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", jerr)
+			wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", jerr)
 			return
 		}
 		// Restore attaches the journal only after the snapshot state is in
@@ -481,7 +485,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		if jw != nil {
 			jw.Close()
 		}
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "restore failed: %v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "restore failed: %v", err)
 		return
 	}
 	if err := s.sessions.Adopt(req.ID, sess); err != nil {
@@ -491,13 +495,13 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case errors.Is(err, dispatch.ErrDuplicateSession):
-			writeErrorFor(w, r, http.StatusConflict, err)
+			writeErrorFor(w, http.StatusConflict, err)
 		case errors.Is(err, dispatch.ErrTooManySessions):
-			retryAfter(w, 1)
-			writeErrorFor(w, r, http.StatusTooManyRequests, err)
+			wire.RetryAfter(w, 1)
+			writeErrorFor(w, http.StatusTooManyRequests, err)
 		default:
-			retryAfter(w, 1)
-			writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+			wire.RetryAfter(w, 1)
+			wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		}
 		return
 	}
@@ -508,7 +512,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsRestored.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d seq=%d",
 		"session restored", req.ID, req.Snapshot.Algorithm, req.Snapshot.Cores, req.Snapshot.Seq)
-	writeJSON(w, http.StatusCreated, SessionCreateResponse{
+	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        req.ID,
 		Algorithm: req.Snapshot.Algorithm,
@@ -519,10 +523,10 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 
 // segmentsToWire converts raw segments (session committed/planned
 // slices) to the wire form.
-func segmentsToWire(segs []schedule.Segment) []SegmentJSON {
-	out := make([]SegmentJSON, len(segs))
+func segmentsToWire(segs []schedule.Segment) []wire.SegmentJSON {
+	out := make([]wire.SegmentJSON, len(segs))
 	for i, seg := range segs {
-		out[i] = SegmentJSON{
+		out[i] = wire.SegmentJSON{
 			Task: seg.Task, Core: seg.Core,
 			Start: seg.Start, End: seg.End, Frequency: seg.Frequency,
 		}

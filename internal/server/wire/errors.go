@@ -13,7 +13,7 @@ const (
 	CodeUnknownAlgorithm ErrorCode = "unknown_algorithm" // algorithm not registered
 	CodeNotFound         ErrorCode = "not_found"         // unknown route or session ID
 	CodeMethodNotAllowed ErrorCode = "method_not_allowed"
-	CodeInfeasible       ErrorCode = "infeasible"     // easched.ErrInfeasible: no schedule exists at f_max
+	CodeInfeasible       ErrorCode = "infeasible"     // check.ErrInfeasible: no schedule exists at f_max
 	CodeUnprocessable    ErrorCode = "unprocessable"  // instance rejected for another solver-side reason
 	CodeSessionClosed    ErrorCode = "session_closed" // lifecycle op on a finished session
 	CodeDuplicateSession ErrorCode = "duplicate_session"
@@ -27,7 +27,7 @@ const (
 	CodeUnavailable ErrorCode = "unavailable"  // transient failure, fallback exhausted, bad gateway
 
 	// Server faults.
-	CodeSolverPanic     ErrorCode = "solver_panic"     // easched.ErrSolverPanic recovered
+	CodeSolverPanic     ErrorCode = "solver_panic"     // check.ErrSolverPanic recovered
 	CodeInvalidSchedule ErrorCode = "invalid_schedule" // guardrail rejected the produced schedule
 	CodeInternal        ErrorCode = "internal"
 )
@@ -43,8 +43,8 @@ type ErrorDetail struct {
 //
 //	{"version":1,"error":{"code":"overloaded","message":"...","retryable":true}}
 //
-// The pre-envelope {"error":"..."} shape is still served when the
-// request carries ?compat=1; that fallback is kept for one release.
+// It is the only error shape: any future breaking change to it bumps
+// Version.
 type ErrorEnvelope struct {
 	Version int         `json:"version"`
 	Error   ErrorDetail `json:"error"`
@@ -60,17 +60,12 @@ func RetryableStatus(status int) bool {
 	return false
 }
 
-// DecodeError extracts the error detail from a non-2xx response body,
-// accepting both the unified envelope and the legacy {"error":"..."}
-// compat shape. ok is false when the body carries neither.
+// DecodeError extracts the error detail from a non-2xx response body.
+// ok is false when the body is not an error envelope.
 func DecodeError(body []byte) (d ErrorDetail, ok bool) {
 	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-		return env.Error, true
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
+		return ErrorDetail{}, false
 	}
-	var legacy ErrorResponse
-	if err := json.Unmarshal(body, &legacy); err == nil && legacy.Error != "" {
-		return ErrorDetail{Code: CodeInternal, Message: legacy.Error}, true
-	}
-	return ErrorDetail{}, false
+	return env.Error, true
 }

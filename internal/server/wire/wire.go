@@ -71,8 +71,9 @@ type ScheduleResponse struct {
 	// BusyTime and Makespan summarize the schedule shape.
 	BusyTime float64 `json:"busy_time"`
 	Makespan float64 `json:"makespan"`
-	// Verified reports whether the in-band easched.Verify guardrail ran
-	// and found no contract violations.
+	// Verified reports that the in-band validator guardrail found no
+	// contract violations; it is always true, because a schedule that
+	// fails the guardrail is never served.
 	Verified bool `json:"verified"`
 	// Cached is true when the response was served from the solve cache.
 	Cached   bool          `json:"cached"`
@@ -171,14 +172,6 @@ type FeasibleResponse struct {
 // AlgorithmsResponse is the body of GET /v1/algorithms.
 type AlgorithmsResponse struct {
 	Algorithms []string `json:"algorithms"`
-}
-
-// ErrorResponse is the legacy pre-envelope error body, still served
-// when a request carries ?compat=1.
-//
-// Deprecated: new clients should read ErrorEnvelope (see errors.go).
-type ErrorResponse struct {
-	Error string `json:"error"`
 }
 
 // SessionStats is a point-in-time summary of a streaming session

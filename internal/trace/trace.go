@@ -1,8 +1,8 @@
-// Package trace exports schedules and experiment results to standard
-// interchange formats: the Chrome trace-event JSON consumed by
-// chrome://tracing and Perfetto (one row per core, one slice per
-// execution segment, frequency attached as an argument), and CSV for the
-// experiment sweeps so figures can be re-plotted with any tool.
+// Package trace exports schedules to standard interchange formats: the
+// Chrome trace-event JSON consumed by chrome://tracing and Perfetto (one
+// row per core, one slice per execution segment, frequency attached as
+// an argument), and a per-segment CSV. Sweep results are exported by
+// experiments.WriteCSV.
 package trace
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/experiments"
 	"repro/internal/schedule"
 )
 
@@ -76,55 +75,6 @@ func WriteChrome(w io.Writer, s *schedule.Schedule, usPerUnit float64) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": records})
-}
-
-// WriteCSV serializes an experiment result as CSV: the first column is
-// the sweep label, then one column per series mean, then (when present)
-// per-series CI half-widths and miss rates.
-func WriteCSV(w io.Writer, r *experiments.Result) error {
-	cw := csv.NewWriter(w)
-	hasMiss := false
-	for _, p := range r.Points {
-		if len(p.MissRate) > 0 {
-			hasMiss = true
-			break
-		}
-	}
-	header := []string{r.XLabel}
-	for _, s := range r.SeriesOrder {
-		header = append(header, s)
-	}
-	for _, s := range r.SeriesOrder {
-		header = append(header, s+"_ci95")
-	}
-	if hasMiss {
-		for _, s := range r.SeriesOrder {
-			header = append(header, s+"_miss")
-		}
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	for _, p := range r.Points {
-		row := []string{p.Label}
-		for _, s := range r.SeriesOrder {
-			row = append(row, f(p.Series[s].Mean))
-		}
-		for _, s := range r.SeriesOrder {
-			row = append(row, f(p.Series[s].CI95))
-		}
-		if hasMiss {
-			for _, s := range r.SeriesOrder {
-				row = append(row, f(p.MissRate[s]))
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteScheduleCSV serializes a schedule's segments as CSV rows

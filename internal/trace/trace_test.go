@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/power"
-	"repro/internal/stats"
 	"repro/internal/task"
 )
 
@@ -60,57 +57,6 @@ func TestWriteChromeRejectsBadScale(t *testing.T) {
 	res := sampleSchedule(t)
 	if err := WriteChrome(&bytes.Buffer{}, res.Final, 0); err == nil {
 		t.Error("zero scale should fail")
-	}
-}
-
-func TestWriteCSVRoundTrips(t *testing.T) {
-	r := &experiments.Result{
-		ID: "x", Title: "t", XLabel: "p0",
-		SeriesOrder: []string{"A", "B"},
-		Points: []experiments.Point{
-			{Label: "0.0", Series: map[string]stats.Summary{
-				"A": {Mean: 1.5, CI95: 0.1}, "B": {Mean: 2.5, CI95: 0.2},
-			}},
-			{Label: "0.1", Series: map[string]stats.Summary{
-				"A": {Mean: 1.6, CI95: 0.1}, "B": {Mean: 2.4, CI95: 0.2},
-			}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want header + 2", len(rows))
-	}
-	if rows[0][0] != "p0" || rows[0][1] != "A" || rows[0][3] != "A_ci95" {
-		t.Errorf("header = %v", rows[0])
-	}
-	if rows[1][1] != "1.5" {
-		t.Errorf("A mean cell = %q", rows[1][1])
-	}
-}
-
-func TestWriteCSVWithMissRates(t *testing.T) {
-	r := &experiments.Result{
-		XLabel:      "x",
-		SeriesOrder: []string{"F2"},
-		Points: []experiments.Point{
-			{Label: "a", Series: map[string]stats.Summary{"F2": {Mean: 1}},
-				MissRate: map[string]float64{"F2": 0.25}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "F2_miss") || !strings.Contains(out, "0.25") {
-		t.Errorf("missing miss columns:\n%s", out)
 	}
 }
 
