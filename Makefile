@@ -111,10 +111,10 @@ LOAD_ADDR ?= http://localhost:8080
 loadtest:
 	$(GO) run ./cmd/schedload -addr $(LOAD_ADDR) -duration 10s
 
-# Run the fixed solver benchmark matrix and refresh the trajectory file,
-# comparing against the committed previous run
-# (override: make bench BENCH_OUT=BENCH_pr5.json BENCH_PREV=BENCH_pr4.json).
-BENCH_OUT ?= BENCH_pr4.json
+# Run the fixed solver benchmark matrix into the gitignored bench.json.
+# To commit a ledger entry, name it and the previous one
+# (make bench BENCH_OUT=BENCH_pr13.json BENCH_PREV=BENCH_pr4.json).
+BENCH_OUT ?= bench.json
 BENCH_PREV ?=
 bench:
 	$(GO) run ./cmd/schedbench -o $(BENCH_OUT) $(if $(BENCH_PREV),-prev $(BENCH_PREV))
@@ -127,4 +127,4 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f conform-report.json conform-smoke.json cover.out bench-smoke.json
+	rm -f conform-report.json conform-smoke.json cover.out bench-smoke.json bench.json

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -146,7 +147,8 @@ func checkInstance(ts task.Set, m int, pm power.Model) error {
 		}
 		copts := check.DefaultOptions()
 		copts.ReportedEnergy = e.energy
-		if res := check.Audit(e.sched, ts, m, pm, copts); len(res.Violations) > 0 {
+		// Background never ends, so Audit returns no error.
+		if res, _ := check.Audit(context.Background(), e.sched, ts, m, pm, copts); len(res.Violations) > 0 {
 			return fmt.Errorf("%s: universal validator: %v", e.name, res.Violations[0])
 		}
 		rep, err := sim.Run(e.sched, pm)

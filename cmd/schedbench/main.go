@@ -19,6 +19,9 @@
 //	opt/n=20/m=4     convex optimum (Frank-Wolfe, 400 iter, 1e-5 gap)
 //	opt/n=100/m=16   ...
 //	batch/der/n=20x16/m=4  SolveBatch over 16 distinct instances
+//	validate/n=20/m=4      check.Validate on the der/n=20/m=4 schedule
+//	validate/n=100/m=16    ... on the der/n=100/m=16 schedule
+//	validate/n=500/m=16    ... on the der/n=500/m=16 schedule
 //
 // -quick keeps only the small cases (CI smoke). -prev loads a previous
 // report whose results become the baseline block of the new file, with
@@ -37,6 +40,7 @@ import (
 	"time"
 
 	"repro/easched"
+	"repro/internal/check"
 	"repro/internal/cliflag"
 	"repro/internal/interval"
 	"repro/internal/opt"
@@ -96,7 +100,7 @@ type benchCase struct {
 func main() {
 	fs := cliflag.New("schedbench")
 	var (
-		out   = fs.String("o", "BENCH_pr4.json", "output JSON path")
+		out   = fs.String("o", "bench.json", "output JSON path")
 		prev  = fs.String("prev", "", "previous report whose results become the baseline block")
 		quick = fs.Bool("quick", false, "run only the small cases (CI smoke)")
 		note  = fs.String("note", "", "free-form annotation stored in the report")
@@ -171,6 +175,9 @@ func matrix() []benchCase {
 		{name: "opt/n=20/m=4", quick: true, run: optCase(20, 4)},
 		{name: "opt/n=100/m=16", quick: false, run: optCase(100, 16)},
 		{name: "batch/der/n=20x16/m=4", quick: true, run: batchCase(20, 16, 4)},
+		{name: "validate/n=20/m=4", quick: true, run: validateCase(20, 4)},
+		{name: "validate/n=100/m=16", quick: false, run: validateCase(100, 16)},
+		{name: "validate/n=500/m=16", quick: false, run: validateCase(500, 16)},
 	}
 }
 
@@ -195,6 +202,25 @@ func solveCase(method easched.SolveMethod, n, m int) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := easched.Solve(ctx, spec); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// validateCase benchmarks the check.Validate guardrail on the DER
+// schedule of the instance the matching der/* case solves.
+func validateCase(n, m int) func(b *testing.B) {
+	return func(b *testing.B) {
+		ts, pm := workload(n)
+		rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: ts, Cores: m, Model: pm, Method: easched.MethodDER})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if v := check.Validate(rep.Schedule, ts, m, pm); len(v) > 0 {
+				b.Fatal(v[0])
 			}
 		}
 	}

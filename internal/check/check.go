@@ -18,9 +18,10 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -109,10 +110,11 @@ type Result struct {
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
 // Validate re-derives the scheduling contract from the raw schedule
-// alone and returns all violations found. It is the 4-argument form of
-// Audit with DefaultOptions.
+// alone and returns all violations found. It is the context-free form
+// of Audit with DefaultOptions.
 func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violation {
-	return Audit(s, ts, m, pm, DefaultOptions()).Violations
+	res, _ := Audit(context.Background(), s, ts, m, pm, DefaultOptions()) // Background never ends
+	return res.Violations
 }
 
 // Audit checks a schedule against the contract of Section III.C using
@@ -131,7 +133,24 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 // Unlike schedule.Validate, which audits per-segment bookkeeping, this
 // sweep computes every instantaneous quantity from scratch, so the two
 // validators fail independently.
-func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options) *Result {
+//
+// Cost: the sweep sorts the segments' start and end points once (a
+// radix sort, linear in the S segments) and keeps the set of segments
+// active between consecutive endpoints, so an audit takes O(S·m) time
+// when at most m segments overlap (O(S·A) when a broken schedule has
+// A > m active at once) and O(S + n + m) memory. It is exact, with no
+// tolerance rule of its own: every slice
+// longer than the Tol·1e-3 sliver floor has both ends on segment
+// endpoints, so a segment is active in [lo, hi] exactly when Start ≤ lo
+// and End ≥ hi, which is the set the sweep holds.
+//
+// Audit polls ctx every few thousand sweep steps and returns ctx.Err()
+// (and a nil Result) once it is done, so a deadline bounds the audit of
+// a very large schedule.
+func Audit(ctx context.Context, s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
 	}
@@ -177,7 +196,9 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 		sweep = append(sweep, seg)
 	}
 
-	sweepAudit(sweep, ts, m, pm, opts, res, add)
+	if err := sweepAudit(ctx, sweep, len(ts), m, pm, opts, res, add); err != nil {
+		return nil, err
+	}
 
 	// Work conservation, from the sweep's own integration.
 	for _, tk := range ts {
@@ -198,85 +219,210 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 				"reported energy %.9g disagrees with re-integrated %.9g", opts.ReportedEnergy, res.Energy)
 		}
 	}
-	return res
+	return res, nil
+}
+
+// pollEvery is how many sweep steps (segment visits) pass between two
+// ctx polls.
+const pollEvery = 4096
+
+// event is a segment endpoint in sweep order.
+type event struct {
+	at  float64
+	seg int32
+}
+
+// sortEvents orders events by time (finite values) with an LSD radix
+// sort over the bytes of each time's order-preserving bit pattern,
+// skipping the bytes all events share. tmp is scratch of ev's length.
+func sortEvents(ev, tmp []event) {
+	if len(ev) < 2 {
+		return
+	}
+	// key maps float order onto unsigned order: flip every bit of a
+	// negative value and only the sign bit of a non-negative one.
+	key := func(at float64) uint64 {
+		b := math.Float64bits(at)
+		if b>>63 != 0 {
+			return ^b
+		}
+		return b | 1<<63
+	}
+	var counts [8][256]int
+	for _, e := range ev {
+		k := key(e.at)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := ev, tmp
+	first := key(ev[0].at)
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(first>>(8*d))] == len(ev) {
+			continue
+		}
+		off := 0
+		for b, n := range c {
+			c[b] = off
+			off += n
+		}
+		for _, e := range src {
+			b := byte(key(e.at) >> (8 * d))
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ev[0] {
+		copy(ev, src)
+	}
+}
+
+// live is an active segment with what each slice reads of it.
+type live struct {
+	seg        int32 // index into the swept segments: the set's order
+	core, task int32
+	power      float64 // p(f), computed once
+	freq       float64
 }
 
 // sweepAudit walks the elementary time slices cut at every segment
 // boundary, re-deriving concurrency, per-core and per-task exclusivity,
-// per-task work, busy time, and the energy integral.
-func sweepAudit(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opts Options,
-	res *Result, add func(Kind, int, float64, string, ...any)) {
+// per-task work, busy time, and the energy integral. segs are
+// well-formed (task in 0..n-1, core in 0..m-1, End > Start).
+//
+// It is an event sweep: segments enter the active set at their start
+// point and leave it at their end point, and per-core and per-task
+// occupancy is counted as they do. The active set is kept in input
+// order, so every Kahan sum adds its terms in the order a rescan of the
+// segment list would.
+func sweepAudit(ctx context.Context, segs []schedule.Segment, n, m int, pm power.Model, opts Options,
+	res *Result, add func(Kind, int, float64, string, ...any)) error {
 	if len(segs) == 0 {
-		return
+		return nil
 	}
-	pts := make([]float64, 0, 2*len(segs))
-	for _, seg := range segs {
-		pts = append(pts, seg.Start, seg.End)
+	buf := make([]event, 3*len(segs))
+	starts, ends, tmp := buf[:len(segs)], buf[len(segs):2*len(segs)], buf[2*len(segs):]
+	for i, seg := range segs {
+		starts[i] = event{seg.Start, int32(i)}
+		ends[i] = event{seg.End, int32(i)}
 	}
-	sort.Float64s(pts)
-	uniq := pts[:0]
-	for _, p := range pts {
-		if len(uniq) == 0 || p > uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
-		}
-	}
+	sortEvents(starts, tmp)
+	sortEvents(ends, tmp)
 
 	var energy, busy numeric.KahanSum
-	work := make(map[int]*numeric.KahanSum, len(ts))
+	work := make([]numeric.KahanSum, n)
+	worked := make([]bool, n)
+	coreCnt := make([]int32, m)
+	taskCnt := make([]int32, n)
 	// Violations are reported once per offender, at the first offending
 	// slice, rather than once per slice — a long overlap is one bug.
 	conReported := false
-	coreReported := make(map[int]bool)
-	taskReported := make(map[int]bool)
+	coreReported := make([]bool, m)
+	taskReported := make([]bool, n)
+	// overCores and overTasks count the cores and tasks currently
+	// occupied more than once, so a clean slice skips both scans.
+	overCores, overTasks := 0, 0
+	active := make([]live, 0, m)
+	// find returns the position of segment k in the active set, or
+	// where it would be inserted.
+	find := func(k int32) int {
+		i, j := 0, len(active)
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if active[h].seg < k {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		return i
+	}
+	floor := opts.Tol * 1e-3
 
-	for k := 0; k+1 < len(uniq); k++ {
-		lo, hi := uniq[k], uniq[k+1]
+	steps := 0
+	lo := starts[0].at
+	for si, ei := 0, 0; ei < len(ends); {
+		for ; ei < len(ends) && ends[ei].at <= lo; ei++ {
+			i := find(ends[ei].seg)
+			l := active[i]
+			active = slices.Delete(active, i, i+1)
+			if coreCnt[l.core] == 2 {
+				overCores--
+			}
+			coreCnt[l.core]--
+			if taskCnt[l.task] == 2 {
+				overTasks--
+			}
+			taskCnt[l.task]--
+		}
+		for ; si < len(starts) && starts[si].at <= lo; si++ {
+			k := starts[si].seg
+			seg := &segs[k]
+			l := live{seg: k, core: int32(seg.Core), task: int32(seg.Task), power: pm.Power(seg.Frequency), freq: seg.Frequency}
+			active = slices.Insert(active, find(k), l)
+			if coreCnt[l.core]++; coreCnt[l.core] == 2 {
+				overCores++
+			}
+			if taskCnt[l.task]++; taskCnt[l.task] == 2 {
+				overTasks++
+			}
+		}
+		if ei == len(ends) {
+			break
+		}
+		hi := ends[ei].at
+		if si < len(starts) && starts[si].at < hi {
+			hi = starts[si].at
+		}
+		if steps += len(active) + 1; steps >= pollEvery {
+			steps = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		dt := hi - lo
-		if dt <= opts.Tol*1e-3 {
+		if dt <= floor || len(active) == 0 {
 			// Slivers below the tolerance floor carry no measurable work
 			// or energy and only amplify float noise.
+			lo = hi
 			continue
-		}
-		var active []schedule.Segment
-		for _, seg := range segs {
-			if seg.Start <= lo+opts.Tol*1e-3 && seg.End >= hi-opts.Tol*1e-3 {
-				active = append(active, seg)
-			}
 		}
 		if len(active) > m && !conReported {
 			add(KindConcurrency, -1, lo, "%d segments active during [%g, %g] on %d cores", len(active), lo, hi, m)
 			conReported = true
 		}
-		perCore := make(map[int]int, len(active))
-		perTask := make(map[int]int, len(active))
-		for _, seg := range active {
-			perCore[seg.Core]++
-			perTask[seg.Task]++
-			energy.Add(pm.Power(seg.Frequency) * dt)
+		for _, l := range active {
+			energy.Add(l.power * dt)
 			busy.Add(dt)
-			w, ok := work[seg.Task]
-			if !ok {
-				w = &numeric.KahanSum{}
-				work[seg.Task] = w
-			}
-			w.Add(seg.Frequency * dt)
+			work[l.task].Add(l.freq * dt)
+			worked[l.task] = true
 		}
-		for c, cnt := range perCore {
-			if cnt > 1 && !coreReported[c] {
-				add(KindCoreOverlap, -1, lo, "core %d hosts %d segments during [%g, %g]", c, cnt, lo, hi)
-				coreReported[c] = true
+		if overCores > 0 {
+			for _, l := range active {
+				if c := l.core; coreCnt[c] > 1 && !coreReported[c] {
+					add(KindCoreOverlap, -1, lo, "core %d hosts %d segments during [%g, %g]", c, coreCnt[c], lo, hi)
+					coreReported[c] = true
+				}
 			}
 		}
-		for id, cnt := range perTask {
-			if cnt > 1 && !taskReported[id] {
-				add(KindTaskParallel, id, lo, "task runs on %d cores during [%g, %g]", cnt, lo, hi)
-				taskReported[id] = true
+		if overTasks > 0 {
+			for _, l := range active {
+				if id := l.task; taskCnt[id] > 1 && !taskReported[id] {
+					add(KindTaskParallel, int(id), lo, "task runs on %d cores during [%g, %g]", taskCnt[id], lo, hi)
+					taskReported[id] = true
+				}
 			}
 		}
+		lo = hi
 	}
 	res.Energy = energy.Value()
 	res.BusyTime = busy.Value()
-	for id, w := range work {
-		res.Work[id] = w.Value()
+	for id := range work {
+		if worked[id] {
+			res.Work[id] = work[id].Value()
+		}
 	}
+	return nil
 }

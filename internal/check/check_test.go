@@ -6,8 +6,11 @@ package check_test
 // proves nothing about correct ones.
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
@@ -28,6 +31,15 @@ func sectionVDFinal(t *testing.T, method alloc.Method) (*core.Result, *schedule.
 	return res, clone
 }
 
+func mustAudit(t *testing.T, s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts check.Options) *check.Result {
+	t.Helper()
+	res, err := check.Audit(context.Background(), s, ts, m, pm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func hasKind(vs []check.Violation, k check.Kind) bool {
 	for _, v := range vs {
 		if v.Kind == k {
@@ -44,7 +56,7 @@ func TestValidateAcceptsCorrectSchedule(t *testing.T) {
 	}
 	opts := check.DefaultOptions()
 	opts.ReportedEnergy = res.FinalEnergy
-	audit := check.Audit(sched, res.Tasks, 4, res.Model, opts)
+	audit := mustAudit(t, sched, res.Tasks, 4, res.Model, opts)
 	if !audit.OK() {
 		t.Fatalf("audit with reported energy failed: %v", audit.Violations[0])
 	}
@@ -129,7 +141,7 @@ func TestMutationMisintegratedEnergy(t *testing.T) {
 	res, sched := sectionVDFinal(t, alloc.DER)
 	opts := check.DefaultOptions()
 	opts.ReportedEnergy = res.FinalEnergy * 1.05 // a 5% accounting bug
-	audit := check.Audit(sched, res.Tasks, 4, res.Model, opts)
+	audit := mustAudit(t, sched, res.Tasks, 4, res.Model, opts)
 	if !hasKind(audit.Violations, check.KindEnergy) {
 		t.Fatalf("mis-integrated energy not flagged as %q: %v", check.KindEnergy, audit.Violations)
 	}
@@ -163,7 +175,7 @@ func TestAuditStrictOverwork(t *testing.T) {
 	}
 	opts := check.DefaultOptions()
 	opts.AllowOverwork = false
-	audit := check.Audit(sched, ts, 1, power.Unit(3, 0), opts)
+	audit := mustAudit(t, sched, ts, 1, power.Unit(3, 0), opts)
 	if !hasKind(audit.Violations, check.KindWork) {
 		t.Fatalf("overwork not flagged under strict options: %v", audit.Violations)
 	}
@@ -192,5 +204,131 @@ func TestRegistryContainsAllSchedulers(t *testing.T) {
 		if e.Name != want[i] {
 			t.Errorf("entry %d = %q, want %q (sorted)", i, e.Name, want[i])
 		}
+	}
+}
+
+func countKind(vs []check.Violation, k check.Kind) int {
+	n := 0
+	for _, v := range vs {
+		if v.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+func TestSweepAbuttingSegmentsDoNotOverlap(t *testing.T) {
+	// End == next Start on one core, and one task hopping cores at the
+	// same instant: neither is an overlap.
+	ts := task.MustNew([3]float64{0, 5, 10}, [3]float64{0, 5, 10})
+	sched := schedule.New(ts, 2)
+	sched.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 5, Frequency: 0.5})
+	sched.Add(schedule.Segment{Task: 1, Core: 0, Start: 5, End: 10, Frequency: 0.5})
+	sched.Add(schedule.Segment{Task: 0, Core: 1, Start: 5, End: 10, Frequency: 0.5})
+	sched.Add(schedule.Segment{Task: 1, Core: 1, Start: 0, End: 5, Frequency: 0.5})
+	if vs := check.Validate(sched, ts, 2, power.Unit(3, 0)); len(vs) > 0 {
+		t.Fatalf("abutting segments flagged: %v", vs)
+	}
+}
+
+func TestSweepSkipsSubFloorSliver(t *testing.T) {
+	// The first segment overruns the second's start on the same core by
+	// 1e-10, below the Tol·1e-3 = 1e-9 sliver floor: no overlap, and the
+	// sliver carries no work.
+	ts := task.MustNew([3]float64{0, 5, 10}, [3]float64{0, 5, 10})
+	sched := schedule.New(ts, 1)
+	sched.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 5 + 1e-10, Frequency: 1})
+	sched.Add(schedule.Segment{Task: 1, Core: 0, Start: 5, End: 10, Frequency: 1})
+	res := mustAudit(t, sched, ts, 1, power.Unit(3, 0), check.DefaultOptions())
+	if !res.OK() {
+		t.Fatalf("sub-floor sliver flagged: %v", res.Violations)
+	}
+	if res.Work[0] != 5 {
+		t.Fatalf("sliver integrated: task 0 work %v, want exactly 5", res.Work[0])
+	}
+}
+
+func TestSweepSharedEndpoints(t *testing.T) {
+	// Eight segments start at 0 and end at distinct points, eight more
+	// start at distinct points and all end at 16.
+	const m = 8
+	var specs [][3]float64
+	for i := 0; i < m; i++ {
+		specs = append(specs, [3]float64{0, float64(i + 1), 16}, [3]float64{0, float64(15 - i), 16})
+	}
+	ts := task.MustNew(specs...)
+	sched := schedule.New(ts, m)
+	var want float64
+	pm := power.Unit(3, 0.05)
+	for i := 0; i < m; i++ {
+		sched.Add(schedule.Segment{Task: 2 * i, Core: i, Start: 0, End: float64(i + 1), Frequency: 1})
+		sched.Add(schedule.Segment{Task: 2*i + 1, Core: i, Start: float64(i + 1), End: 16, Frequency: 1})
+		want += 16 * pm.Power(1)
+	}
+	res := mustAudit(t, sched, ts, m, pm, check.DefaultOptions())
+	if !res.OK() {
+		t.Fatalf("shared endpoints flagged: %v", res.Violations)
+	}
+	if math.Abs(res.Energy-want) > 1e-12*want || res.BusyTime != 16*m {
+		t.Fatalf("energy %v busy %v, want %v and %v", res.Energy, res.BusyTime, want, 16*m)
+	}
+}
+
+func TestSweepReportsHeavyOverlapOnce(t *testing.T) {
+	// 3m identical segments: one concurrency, one core and one task
+	// offender, each reported once however many slices they span.
+	const m = 2
+	ts := task.MustNew([3]float64{0, 60, 10})
+	sched := schedule.New(ts, m)
+	for i := 0; i < 3*m; i++ {
+		sched.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 10, Frequency: 1})
+	}
+	vs := check.Validate(sched, ts, m, power.Unit(3, 0))
+	for _, k := range []check.Kind{check.KindConcurrency, check.KindCoreOverlap, check.KindTaskParallel} {
+		if got := countKind(vs, k); got != 1 {
+			t.Errorf("%q reported %d times, want once: %v", k, got, vs)
+		}
+	}
+}
+
+func TestSweepEmptySchedule(t *testing.T) {
+	res := mustAudit(t, schedule.New(nil, 2), nil, 2, power.Unit(3, 0), check.DefaultOptions())
+	if !res.OK() || res.Energy != 0 || res.BusyTime != 0 || len(res.Work) != 0 {
+		t.Fatalf("empty instance: %+v", res)
+	}
+	ts := task.MustNew([3]float64{0, 2, 10})
+	vs := check.Validate(schedule.New(ts, 1), ts, 1, power.Unit(3, 0))
+	if len(vs) != 1 || vs[0].Kind != check.KindWork {
+		t.Fatalf("empty schedule of one task: %v, want one %q", vs, check.KindWork)
+	}
+}
+
+// TestAuditCancellationPrompt cancels the audit of a large schedule
+// mid-sweep and requires it to return within cancelSlack (50 ms without
+// the race detector) of the cancellation.
+func TestAuditCancellationPrompt(t *testing.T) {
+	ts, sched := paperSchedule(t, 500, 16)
+	pm := power.Unit(3, 0.05)
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := check.Audit(pre, sched, ts, 16, pm, check.DefaultOptions()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled audit: err = %v, want context.Canceled", err)
+	}
+
+	const after = 2 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(after, cancel)
+	start := time.Now()
+	_, err := check.Audit(ctx, sched, ts, 16, pm, check.DefaultOptions())
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		if err != nil {
+			t.Fatalf("err = %v, want context.Canceled or nil", err)
+		}
+		t.Skip("audit finished before cancellation")
+	}
+	if elapsed > after+cancelSlack {
+		t.Fatalf("canceled audit returned after %v, want within %v of cancel", elapsed, cancelSlack)
 	}
 }

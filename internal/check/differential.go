@@ -198,7 +198,7 @@ func DifferentialOpts(ts task.Set, m int, pm power.Model, o DiffOptions) (*DiffR
 		opts := DefaultOptions()
 		opts.ReportedEnergy = energy
 		opts.EnergyTol = math.Max(opts.EnergyTol, o.Tol)
-		audit := Audit(sched, ts, m, pm, opts)
+		audit, _ := Audit(context.Background(), sched, ts, m, pm, opts) // Background never ends
 		res.Recomputed = audit.Energy
 		res.Violations = audit.Violations
 		rep.Results = append(rep.Results, res)

@@ -55,7 +55,7 @@ var (
 // SolveFunc that routes residual solves through its admission gate,
 // circuit breakers, fault injector, and validator guardrail; standalone
 // sessions default to the registered scheduler plus an in-band
-// check.Validate.
+// check.Audit under the same ctx.
 type SolveFunc func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error)
 
 // Hooks are optional observability callbacks. They are invoked outside
@@ -117,7 +117,7 @@ type Config struct {
 	// Tolerance merges nearby time points (0 selects 1e-9).
 	Tolerance float64
 	// Solve overrides the residual solver (see SolveFunc). Nil selects
-	// the registered Algorithm guarded by check.Validate.
+	// the registered Algorithm guarded by check.Audit.
 	Solve SolveFunc
 	// Hooks observe replans and sheds.
 	Hooks Hooks
@@ -189,7 +189,11 @@ func registrySolve(algorithm string) (SolveFunc, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if v := check.Validate(s, ts, m, pm); len(v) > 0 {
+		audit, err := check.Audit(ctx, s, ts, m, pm, check.DefaultOptions())
+		if err != nil {
+			return nil, 0, fmt.Errorf("dispatch: auditing the %q residual schedule: %w", algorithm, err)
+		}
+		if v := audit.Violations; len(v) > 0 {
 			return nil, 0, fmt.Errorf("dispatch: %q produced an invalid residual schedule: %v (+%d more)",
 				algorithm, v[0], len(v)-1)
 		}

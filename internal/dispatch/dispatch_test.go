@@ -638,6 +638,43 @@ func TestRegistrySolveRejectsUnknown(t *testing.T) {
 	}
 }
 
+// endsAtFinish is a ctx that ends once its session has committed its
+// horizon, i.e. between Finish's drain and its audit.
+type endsAtFinish struct {
+	context.Context
+	s *Session
+}
+
+func (c endsAtFinish) Err() error {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	if c.s.finished {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFinishReportsAbortedAudit: when Finish's ctx ends before the
+// realized schedule is audited, the report says so instead of reporting
+// the schedule clean.
+func TestFinishReportsAbortedAudit(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Arrive(context.Background(), 0, task.Set{{ID: 0, Release: 0, Work: 2, Deadline: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Finish(endsAtFinish{context.Background(), s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Violations) == 0 || f.Violations[0] != "check: audit aborted: "+context.Canceled.Error() {
+		t.Fatalf("violations %q, want the aborted audit", f.Violations)
+	}
+}
+
 // Example-style check that the committed prefix really is immutable: a
 // replan may only rewrite the plan suffix at times ≥ the clock.
 func TestCommitPointsImmutable(t *testing.T) {

@@ -87,7 +87,9 @@ type FinalReport struct {
 	// Schedule is the realized committed schedule over Tasks.
 	Schedule *schedule.Schedule
 	// Violations lists in-band validator findings against the realized
-	// schedule (empty in a correct run).
+	// schedule (empty in a correct run). When Finish's ctx ends during
+	// the audit, it holds that reason instead: an unaudited schedule is
+	// never reported clean.
 	Violations []string
 	// Sim is the simulator's execution report for the realized schedule
 	// (preemptions, migrations, per-core utilization); nil if the
@@ -631,8 +633,12 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 	s.mu.Unlock()
 
 	if len(f.Tasks) > 0 {
-		for _, v := range check.Validate(f.Schedule, f.Tasks, m, pm) {
-			f.Violations = append(f.Violations, v.Error())
+		if audit, err := check.Audit(ctx, f.Schedule, f.Tasks, m, pm, check.DefaultOptions()); err != nil {
+			f.Violations = append(f.Violations, "check: audit aborted: "+err.Error())
+		} else {
+			for _, v := range audit.Violations {
+				f.Violations = append(f.Violations, v.Error())
+			}
 		}
 		if rep, err := sim.Run(f.Schedule, pm); err != nil {
 			f.Violations = append(f.Violations, "sim: "+err.Error())

@@ -6,6 +6,7 @@ package opt_test
 // schedule against the universal validator.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,7 +122,10 @@ func TestRealizedOptimumPassesValidator(t *testing.T) {
 	opts := check.DefaultOptions()
 	opts.ReportedEnergy = sol.Energy
 	opts.EnergyTol = 1e-4 // Realize matches the solver up to packing float noise
-	audit := check.Audit(sched, ts, 3, pm, opts)
+	audit, err := check.Audit(context.Background(), sched, ts, 3, pm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !audit.OK() {
 		t.Fatalf("realized optimum fails the validator: %v", audit.Violations[0])
 	}

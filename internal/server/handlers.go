@@ -104,15 +104,20 @@ func writeErrorFor(w http.ResponseWriter, status int, err error) {
 	wire.WriteError(w, status, errorCode(status, err), "%v", err)
 }
 
-// solveResult carries one solver outcome across the cancellation select.
+// solveResult carries one solver outcome and its guardrail verdict
+// across the cancellation select.
 type solveResult struct {
-	sched  *schedule.Schedule
-	energy float64
-	err    error
+	sched      *schedule.Schedule
+	energy     float64
+	violations []check.Violation
+	err        error
 }
 
-// runSolve executes a registered scheduler under ctx. Runners observe
-// ctx and abort between solver passes, so a canceled request frees its
+// runSolve executes a registered scheduler under ctx and audits its
+// schedule with the universal validator in the same goroutine, so the
+// audit holds the worker slot and runs under the same deadline as the
+// solve. Runners observe ctx and abort between solver passes, and
+// check.Audit polls it during its sweep, so a canceled request frees its
 // worker slot promptly instead of holding it until convergence; the
 // select below additionally unblocks the handler immediately, and the
 // slot is released only when the solver goroutine actually returns.
@@ -147,7 +152,16 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 			}
 		}
 		s, energy, err := e.Run(ctx, ts, m, pm)
-		ch <- solveResult{sched: s, energy: energy, err: err}
+		if err != nil {
+			ch <- solveResult{err: err}
+			return
+		}
+		audit, err := check.Audit(ctx, s, ts, m, pm, check.DefaultOptions())
+		if err != nil {
+			ch <- solveResult{err: err}
+			return
+		}
+		ch <- solveResult{sched: s, energy: energy, violations: audit.Violations}
 	}()
 	select {
 	case res := <-ch:
@@ -202,7 +216,7 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wir
 	// Guardrail: never ship a schedule the universal validator rejects.
 	// The validator_reject fault point simulates a guardrail rejection of
 	// a good schedule, exercising the same degradation path.
-	violations := check.Validate(res.sched, req.Tasks, req.Cores, pm)
+	violations := res.violations
 	if len(violations) == 0 && s.faults().Should(fault.ValidatorReject) {
 		violations = []check.Violation{{Kind: check.KindEnergy, Task: -1, Detail: "injected validator rejection"}}
 	}

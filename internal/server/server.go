@@ -4,8 +4,8 @@
 // cheap enough for practical systems (Section VI.D); this package is
 // that deployment: admission-controlled solves with per-request
 // deadlines, an LRU cache over canonical instance hashes, an in-band
-// check.Validate guardrail (always on) so an invalid schedule is never
-// shipped, and first-class observability (request counters, latency and
+// check.Audit guardrail (always on, inside the worker slot and the solve
+// deadline) so an invalid schedule is never shipped, and first-class observability (request counters, latency and
 // queue-depth histograms, structured per-request log lines, Chrome-trace
 // responses, pprof).
 //
