@@ -22,6 +22,9 @@
 //	validate/n=20/m=4      check.Validate on the der/n=20/m=4 schedule
 //	validate/n=100/m=16    ... on the der/n=100/m=16 schedule
 //	validate/n=500/m=16    ... on the der/n=500/m=16 schedule
+//	sim/n=20/m=4           sim.Run on the der/n=20/m=4 schedule
+//	sim/n=100/m=16         ... on the der/n=100/m=16 schedule
+//	sim/n=500/m=16         ... on the der/n=500/m=16 schedule
 //
 // -quick keeps only the small cases (CI smoke). -prev loads a previous
 // report whose results become the baseline block of the new file, with
@@ -45,6 +48,8 @@ import (
 	"repro/internal/interval"
 	"repro/internal/opt"
 	"repro/internal/power"
+	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -178,6 +183,9 @@ func matrix() []benchCase {
 		{name: "validate/n=20/m=4", quick: true, run: validateCase(20, 4)},
 		{name: "validate/n=100/m=16", quick: false, run: validateCase(100, 16)},
 		{name: "validate/n=500/m=16", quick: false, run: validateCase(500, 16)},
+		{name: "sim/n=20/m=4", quick: true, run: simCase(20, 4)},
+		{name: "sim/n=100/m=16", quick: false, run: simCase(100, 16)},
+		{name: "sim/n=500/m=16", quick: false, run: simCase(500, 16)},
 	}
 }
 
@@ -207,20 +215,45 @@ func solveCase(method easched.SolveMethod, n, m int) func(b *testing.B) {
 	}
 }
 
+// derSchedule solves the instance the matching der/* case solves.
+func derSchedule(b *testing.B, n, m int) (task.Set, power.Model, *schedule.Schedule) {
+	ts, pm := workload(n)
+	rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: ts, Cores: m, Model: pm, Method: easched.MethodDER})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ts, pm, rep.Schedule
+}
+
 // validateCase benchmarks the check.Validate guardrail on the DER
 // schedule of the instance the matching der/* case solves.
 func validateCase(n, m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		ts, pm := workload(n)
-		rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: ts, Cores: m, Model: pm, Method: easched.MethodDER})
-		if err != nil {
-			b.Fatal(err)
-		}
+		ts, pm, s := derSchedule(b, n, m)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if v := check.Validate(rep.Schedule, ts, m, pm); len(v) > 0 {
+			if v := check.Validate(s, ts, m, pm); len(v) > 0 {
 				b.Fatal(v[0])
+			}
+		}
+	}
+}
+
+// simCase benchmarks the sim.Run replay every /v1/schedule response
+// carries, on the same DER schedule.
+func simCase(n, m int) func(b *testing.B) {
+	return func(b *testing.B) {
+		_, pm, s := derSchedule(b, n, m)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep, err := sim.Run(s, pm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.OK() {
+				b.Fatal(rep.Violations[0])
 			}
 		}
 	}

@@ -226,59 +226,6 @@ func Audit(ctx context.Context, s *schedule.Schedule, ts task.Set, m int, pm pow
 // ctx polls.
 const pollEvery = 4096
 
-// event is a segment endpoint in sweep order.
-type event struct {
-	at  float64
-	seg int32
-}
-
-// sortEvents orders events by time (finite values) with an LSD radix
-// sort over the bytes of each time's order-preserving bit pattern,
-// skipping the bytes all events share. tmp is scratch of ev's length.
-func sortEvents(ev, tmp []event) {
-	if len(ev) < 2 {
-		return
-	}
-	// key maps float order onto unsigned order: flip every bit of a
-	// negative value and only the sign bit of a non-negative one.
-	key := func(at float64) uint64 {
-		b := math.Float64bits(at)
-		if b>>63 != 0 {
-			return ^b
-		}
-		return b | 1<<63
-	}
-	var counts [8][256]int
-	for _, e := range ev {
-		k := key(e.at)
-		for d := range counts {
-			counts[d][byte(k>>(8*d))]++
-		}
-	}
-	src, dst := ev, tmp
-	first := key(ev[0].at)
-	for d := range counts {
-		c := &counts[d]
-		if c[byte(first>>(8*d))] == len(ev) {
-			continue
-		}
-		off := 0
-		for b, n := range c {
-			c[b] = off
-			off += n
-		}
-		for _, e := range src {
-			b := byte(key(e.at) >> (8 * d))
-			dst[c[b]] = e
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &ev[0] {
-		copy(ev, src)
-	}
-}
-
 // live is an active segment with what each slice reads of it.
 type live struct {
 	seg        int32 // index into the swept segments: the set's order
@@ -302,14 +249,14 @@ func sweepAudit(ctx context.Context, segs []schedule.Segment, n, m int, pm power
 	if len(segs) == 0 {
 		return nil
 	}
-	buf := make([]event, 3*len(segs))
+	buf := make([]numeric.Event, 3*len(segs))
 	starts, ends, tmp := buf[:len(segs)], buf[len(segs):2*len(segs)], buf[2*len(segs):]
 	for i, seg := range segs {
-		starts[i] = event{seg.Start, int32(i)}
-		ends[i] = event{seg.End, int32(i)}
+		starts[i] = numeric.Event{At: seg.Start, Seg: int32(i)}
+		ends[i] = numeric.Event{At: seg.End, Seg: int32(i)}
 	}
-	sortEvents(starts, tmp)
-	sortEvents(ends, tmp)
+	numeric.SortEvents(starts, tmp)
+	numeric.SortEvents(ends, tmp)
 
 	var energy, busy numeric.KahanSum
 	work := make([]numeric.KahanSum, n)
@@ -342,10 +289,10 @@ func sweepAudit(ctx context.Context, segs []schedule.Segment, n, m int, pm power
 	floor := opts.Tol * 1e-3
 
 	steps := 0
-	lo := starts[0].at
+	lo := starts[0].At
 	for si, ei := 0, 0; ei < len(ends); {
-		for ; ei < len(ends) && ends[ei].at <= lo; ei++ {
-			i := find(ends[ei].seg)
+		for ; ei < len(ends) && ends[ei].At <= lo; ei++ {
+			i := find(ends[ei].Seg)
 			l := active[i]
 			active = slices.Delete(active, i, i+1)
 			if coreCnt[l.core] == 2 {
@@ -357,8 +304,8 @@ func sweepAudit(ctx context.Context, segs []schedule.Segment, n, m int, pm power
 			}
 			taskCnt[l.task]--
 		}
-		for ; si < len(starts) && starts[si].at <= lo; si++ {
-			k := starts[si].seg
+		for ; si < len(starts) && starts[si].At <= lo; si++ {
+			k := starts[si].Seg
 			seg := &segs[k]
 			l := live{seg: k, core: int32(seg.Core), task: int32(seg.Task), power: pm.Power(seg.Frequency), freq: seg.Frequency}
 			active = slices.Insert(active, find(k), l)
@@ -372,9 +319,9 @@ func sweepAudit(ctx context.Context, segs []schedule.Segment, n, m int, pm power
 		if ei == len(ends) {
 			break
 		}
-		hi := ends[ei].at
-		if si < len(starts) && starts[si].at < hi {
-			hi = starts[si].at
+		hi := ends[ei].At
+		if si < len(starts) && starts[si].At < hi {
+			hi = starts[si].At
 		}
 		if steps += len(active) + 1; steps >= pollEvery {
 			steps = 0

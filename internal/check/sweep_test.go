@@ -9,17 +9,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
+	"repro/internal/check/checktest"
 	"repro/internal/core"
-	"repro/internal/fuzzenc"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/task"
@@ -38,123 +36,6 @@ func paperSchedule(tb testing.TB, n, m int) (task.Set, *schedule.Schedule) {
 		tb.Fatal(err)
 	}
 	return ts, res.Final
-}
-
-// diffCase is one schedule both sweeps audit.
-type diffCase struct {
-	name  string
-	ts    task.Set
-	m     int
-	pm    power.Model
-	sched *schedule.Schedule
-	// energy is the reported energy both audits cross-check.
-	energy float64
-}
-
-// corpusInstances decodes the FuzzSchedulers seed corpus.
-func corpusInstances(t *testing.T) []diffCase {
-	t.Helper()
-	dir := filepath.Join("..", "..", "testdata", "fuzz", "FuzzSchedulers")
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []diffCase
-	for _, f := range files {
-		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
-		data, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("corpus entry %s: %v", f.Name(), err)
-		}
-		if ts, m, pm := fuzzenc.Decode([]byte(data)); ts != nil {
-			out = append(out, diffCase{name: "corpus/" + f.Name(), ts: ts, m: m, pm: pm})
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no corpus instances decoded")
-	}
-	return out
-}
-
-// zooInstances draws every task.GenerateRegime regime at a few sizes.
-func zooInstances(t *testing.T) []diffCase {
-	t.Helper()
-	rng := rand.New(rand.NewSource(20140901))
-	var out []diffCase
-	for _, r := range task.Regimes() {
-		for _, n := range []int{1, 6, 25} {
-			ts, err := task.GenerateRegime(rng, r, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range []int{1, 4} {
-				out = append(out, diffCase{
-					name: fmt.Sprintf("zoo/%s/n=%d/m=%d", r, n, m),
-					ts:   ts, m: m, pm: power.Unit(3, 0.05),
-				})
-			}
-		}
-	}
-	return out
-}
-
-// schedules runs every registered scheduler on every instance.
-func schedules(t *testing.T, instances []diffCase) []diffCase {
-	t.Helper()
-	var out []diffCase
-	for _, in := range instances {
-		for _, e := range check.Entries() {
-			s, energy, err := e.RunSafe(context.Background(), in.ts, in.m, in.pm)
-			if err != nil {
-				continue // e.g. YDS on m > 1
-			}
-			c := in
-			c.name, c.sched, c.energy = in.name+"/"+e.Name, s, energy
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// broken derives deliberately invalid variants of a valid schedule: a
-// segment moved to another core, shifted in time, duplicated, or handed
-// to another task.
-func broken(rng *rand.Rand, c diffCase) []diffCase {
-	if len(c.sched.Segments) == 0 {
-		return nil
-	}
-	mutate := func(kind string, f func(segs []schedule.Segment) []schedule.Segment) diffCase {
-		out := c
-		s := *c.sched
-		s.Segments = f(append([]schedule.Segment(nil), c.sched.Segments...))
-		out.name, out.sched = c.name+"/"+kind, &s
-		return out
-	}
-	k := rng.Intn(len(c.sched.Segments))
-	return []diffCase{
-		mutate("core", func(segs []schedule.Segment) []schedule.Segment {
-			segs[k].Core = (segs[k].Core + 1 + rng.Intn(c.m)) % c.m
-			return segs
-		}),
-		mutate("window", func(segs []schedule.Segment) []schedule.Segment {
-			d := (rng.Float64() - 0.5) * 4 * segs[k].Duration()
-			segs[k].Start += d
-			segs[k].End += d
-			return segs
-		}),
-		mutate("duplicate", func(segs []schedule.Segment) []schedule.Segment {
-			return append(segs, segs[k])
-		}),
-		mutate("task", func(segs []schedule.Segment) []schedule.Segment {
-			segs[k].Task = rng.Intn(len(c.ts))
-			return segs
-		}),
-	}
 }
 
 // violationKeys renders violations order-free: the reference reports
@@ -177,38 +58,39 @@ func relClose(a, b float64) bool {
 // of their schedules: identical violations, and energy, busy time and
 // per-task work within 1e-12 relative.
 func TestSweepMatchesReference(t *testing.T) {
-	cases := schedules(t, append(corpusInstances(t), zooInstances(t)...))
+	corpus := filepath.Join("..", "..", "testdata", "fuzz", "FuzzSchedulers")
+	cases := checktest.Schedules(append(checktest.Corpus(t, corpus), checktest.Zoo(t)...))
 	rng := rand.New(rand.NewSource(7))
 	var bad int
 	for _, c := range cases {
-		variants := broken(rng, c)
+		variants := checktest.Broken(rng, c)
 		bad += len(variants)
 		cases = append(cases, variants...)
 	}
 	var invalid int
 	for _, c := range cases {
 		opts := check.DefaultOptions()
-		opts.ReportedEnergy = c.energy
-		got, err := check.Audit(context.Background(), c.sched, c.ts, c.m, c.pm, opts)
+		opts.ReportedEnergy = c.Energy
+		got, err := check.Audit(context.Background(), c.Sched, c.Tasks, c.Cores, c.Model, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := check.ReferenceAudit(c.sched, c.ts, c.m, c.pm, opts)
+		want := check.ReferenceAudit(c.Sched, c.Tasks, c.Cores, c.Model, opts)
 		if len(want.Violations) > 0 {
 			invalid++
 		}
 		if g, w := violationKeys(got.Violations), violationKeys(want.Violations); strings.Join(g, "\n") != strings.Join(w, "\n") {
-			t.Errorf("%s: violations differ\n got %q\nwant %q", c.name, g, w)
+			t.Errorf("%s: violations differ\n got %q\nwant %q", c.Name, g, w)
 		}
 		if !relClose(got.Energy, want.Energy) || !relClose(got.BusyTime, want.BusyTime) {
-			t.Errorf("%s: energy %v busy %v, reference %v and %v", c.name, got.Energy, got.BusyTime, want.Energy, want.BusyTime)
+			t.Errorf("%s: energy %v busy %v, reference %v and %v", c.Name, got.Energy, got.BusyTime, want.Energy, want.BusyTime)
 		}
 		if len(got.Work) != len(want.Work) {
-			t.Errorf("%s: work for %d tasks, reference %d", c.name, len(got.Work), len(want.Work))
+			t.Errorf("%s: work for %d tasks, reference %d", c.Name, len(got.Work), len(want.Work))
 		}
 		for id, w := range want.Work {
 			if !relClose(got.Work[id], w) {
-				t.Errorf("%s: task %d work %v, reference %v", c.name, id, got.Work[id], w)
+				t.Errorf("%s: task %d work %v, reference %v", c.Name, id, got.Work[id], w)
 			}
 		}
 	}

@@ -112,6 +112,18 @@ func (rt *Router) migrateFrom(sess *routedSession, from *backend, observedGen in
 		return
 	}
 	sess.migrating = true
+	// Requests already proxied to the old home finish first (new ones
+	// wait in enter): an arrival it acknowledges is then in the snapshot
+	// cached below, or in the live one restoreElsewhere fetches.
+	for sess.inflight > 0 {
+		rt.cond.Wait()
+	}
+	if sess.closed {
+		sess.migrating = false
+		rt.cond.Broadcast()
+		rt.mu.Unlock()
+		return
+	}
 	cached := sess.snap
 	create := sess.create
 	rt.mu.Unlock()

@@ -48,6 +48,10 @@ type routedSession struct {
 	snap      *wire.SessionSnapshot
 	migrating bool
 	closed    bool
+	// inflight counts requests proxied to home right now (see enter). A
+	// migration waits for them, so it never moves the session from
+	// under a request its old home is answering.
+	inflight int
 
 	// hubEpoch identifies the backend event hub serving this session's
 	// stream. A migration restores onto a fresh hub (epoch bumps: the new
@@ -75,6 +79,31 @@ func (rt *Router) location(s *routedSession) (home *backend, gen int64, genCh ch
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return s.home, s.gen, s.genCh, s.closed
+}
+
+// enter waits out a migration in flight, then reads the session's
+// placement and counts a request proxied to it until the matching
+// leave. Without this, a migration could restore the session elsewhere
+// from a snapshot taken before an arrival the old home then admits and
+// acknowledges (lost on the new home), or reap the old copy so that a
+// request still aimed at it gets a 404 that ends the routing entry.
+func (rt *Router) enter(s *routedSession) (home *backend, gen int64, closed bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for s.migrating {
+		rt.cond.Wait()
+	}
+	s.inflight++
+	return s.home, s.gen, s.closed
+}
+
+// leave ends a request counted by enter.
+func (rt *Router) leave(s *routedSession) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if s.inflight--; s.inflight == 0 {
+		rt.cond.Broadcast()
+	}
 }
 
 // locationEpoch is location plus the hub epoch (SSE pump only).
@@ -212,60 +241,70 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	}
 	const arrivalAttempts = 4
 	for attempt := 0; attempt < arrivalAttempts; attempt++ {
-		home, gen, _, closed := rt.location(sess)
-		if closed || home == nil {
-			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		done, home, gen := rt.arriveOnce(w, r, sess, body)
+		if done {
 			return
 		}
-		rp, err := rt.do(r.Context(), home, http.MethodPost, "/v1/sessions/"+id+"/tasks", r.URL.RawQuery, body)
-		if err != nil {
-			home.br.Failure()
-			if r.Context().Err() != nil {
-				return // client gave up; nothing useful to write
-			}
-			if timeoutErr(err) {
-				wire.RetryAfter(w, 1)
-				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
-				return
-			}
-			rt.migrateFrom(sess, home, gen)
-			continue
-		}
-		switch {
-		case rp.status == http.StatusNotFound:
-			// The backend evicted it (TTL): drop our routing entry too.
-			rt.forget(id)
-			rp.relay(w)
-			return
-		case wire.RetryableStatus(rp.status) && rp.status != http.StatusTooManyRequests:
-			// Backend draining or gateway trouble: move the session.
-			rt.migrateFrom(sess, home, gen)
-			continue
-		}
-		home.br.Success()
-		if rp.status == http.StatusOK {
-			snap, err := rt.fetchSnapshot(r.Context(), home, id)
-			if err != nil && timeoutErr(err) && r.Context().Err() == nil {
-				// One more try before the expensive rollback below: the
-				// arrival is already admitted, so a retried fetch is far
-				// cheaper than migrating and replaying the batch.
-				snap, err = rt.fetchSnapshot(r.Context(), home, id)
-			}
-			if err != nil {
-				// Acking without a covering snapshot would lose this
-				// arrival if the backend dies: migrate (from the previous
-				// snapshot) and replay the batch instead.
-				rt.metrics.snapshotFails.Add(1)
-				rt.migrateFrom(sess, home, gen)
-				continue
-			}
-			rt.setSnapshot(sess, gen, snap)
-		}
-		rp.relay(w)
-		return
+		rt.migrateFrom(sess, home, gen)
 	}
 	wire.RetryAfter(w, 1)
-	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", sess.id)
+}
+
+// arriveOnce proxies one arrival attempt to the session's home. It
+// either answers the client (done) or returns the placement the caller
+// must migrate away from before the next attempt.
+func (rt *Router) arriveOnce(w http.ResponseWriter, r *http.Request, sess *routedSession, body []byte) (done bool, home *backend, gen int64) {
+	id := sess.id
+	home, gen, closed := rt.enter(sess)
+	defer rt.leave(sess)
+	if closed || home == nil {
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		return true, nil, 0
+	}
+	rp, err := rt.do(r.Context(), home, http.MethodPost, "/v1/sessions/"+id+"/tasks", r.URL.RawQuery, body)
+	if err != nil {
+		home.br.Failure()
+		if r.Context().Err() != nil {
+			return true, nil, 0 // client gave up; nothing useful to write
+		}
+		if timeoutErr(err) {
+			wire.RetryAfter(w, 1)
+			wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+			return true, nil, 0
+		}
+		return false, home, gen
+	}
+	switch {
+	case rp.status == http.StatusNotFound:
+		// The backend evicted it (TTL): drop our routing entry too.
+		rt.forget(id)
+		rp.relay(w)
+		return true, nil, 0
+	case wire.RetryableStatus(rp.status) && rp.status != http.StatusTooManyRequests:
+		// Backend draining or gateway trouble: move the session.
+		return false, home, gen
+	}
+	home.br.Success()
+	if rp.status == http.StatusOK {
+		snap, err := rt.fetchSnapshot(r.Context(), home, id)
+		if err != nil && timeoutErr(err) && r.Context().Err() == nil {
+			// One more try before the expensive rollback below: the
+			// arrival is already admitted, so a retried fetch is far
+			// cheaper than migrating and replaying the batch.
+			snap, err = rt.fetchSnapshot(r.Context(), home, id)
+		}
+		if err != nil {
+			// Acking without a covering snapshot would lose this
+			// arrival if the backend dies: migrate (from the previous
+			// snapshot) and replay the batch instead.
+			rt.metrics.snapshotFails.Add(1)
+			return false, home, gen
+		}
+		rt.setSnapshot(sess, gen, snap)
+	}
+	rp.relay(w)
+	return true, nil, 0
 }
 
 // handleSessionGet proxies GET /v1/sessions/{id}/schedule.
@@ -289,50 +328,61 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 		return
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		home, gen, _, closed := rt.location(sess)
-		if closed || home == nil {
-			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		done, home, gen := rt.proxyOnce(w, r, sess, method, suffix, terminal)
+		if done {
 			return
 		}
-		// The terminal DELETE runs the clairvoyant-optimum solve on the
-		// backend; under load it can legitimately outlast any fixed proxy
-		// timeout, and cutting it off only to retry re-runs the same
-		// expensive solve. Bound it by the client's context alone.
-		timeout := rt.cfg.Timeout
-		if terminal {
-			timeout = 0
-		}
-		rp, err := rt.doTimeout(r.Context(), timeout, home, method, "/v1/sessions/"+id+suffix, r.URL.RawQuery, nil)
-		if err != nil {
-			home.br.Failure()
-			if r.Context().Err() != nil {
-				return // client gave up; nothing useful to write
-			}
-			if timeoutErr(err) {
-				wire.RetryAfter(w, 1)
-				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
-				return
-			}
-			rt.migrateFrom(sess, home, gen)
-			continue
-		}
-		home.br.Success()
-		if rp.status == http.StatusNotFound {
-			rt.forget(id)
-		} else if terminal && rp.status == http.StatusOK {
-			rt.mu.Lock()
-			sess.closed = true
-			close(sess.genCh)
-			sess.genCh = make(chan struct{})
-			delete(rt.sessions, id)
-			rt.mu.Unlock()
-			rt.metrics.sessionsFinished.Add(1)
-		}
-		rp.relay(w)
-		return
+		rt.migrateFrom(sess, home, gen)
 	}
 	wire.RetryAfter(w, 1)
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
+}
+
+// proxyOnce is one attempt of proxySessionOnce, with arriveOnce's
+// contract.
+func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, sess *routedSession, method, suffix string, terminal bool) (done bool, home *backend, gen int64) {
+	id := sess.id
+	home, gen, closed := rt.enter(sess)
+	defer rt.leave(sess)
+	if closed || home == nil {
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		return true, nil, 0
+	}
+	// The terminal DELETE runs the clairvoyant-optimum solve on the
+	// backend; under load it can legitimately outlast any fixed proxy
+	// timeout, and cutting it off only to retry re-runs the same
+	// expensive solve. Bound it by the client's context alone.
+	timeout := rt.cfg.Timeout
+	if terminal {
+		timeout = 0
+	}
+	rp, err := rt.doTimeout(r.Context(), timeout, home, method, "/v1/sessions/"+id+suffix, r.URL.RawQuery, nil)
+	if err != nil {
+		home.br.Failure()
+		if r.Context().Err() != nil {
+			return true, nil, 0 // client gave up; nothing useful to write
+		}
+		if timeoutErr(err) {
+			wire.RetryAfter(w, 1)
+			wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+			return true, nil, 0
+		}
+		return false, home, gen
+	}
+	home.br.Success()
+	if rp.status == http.StatusNotFound {
+		rt.forget(id)
+	} else if terminal && rp.status == http.StatusOK {
+		rt.mu.Lock()
+		sess.closed = true
+		close(sess.genCh)
+		sess.genCh = make(chan struct{})
+		delete(rt.sessions, id)
+		rt.mu.Unlock()
+		rt.metrics.sessionsFinished.Add(1)
+	}
+	rp.relay(w)
+	return true, nil, 0
 }
 
 // migrationWait bounds how long a stream waits for a session to land on

@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/server/wire"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -17,8 +21,13 @@ import (
 // test-late-valid returns a valid 200k-segment schedule just before the
 // solve deadline, so the deadline passes while the guardrail audits it;
 // test-slow-audit returns at once a schedule of 20k mutually overlapping
-// segments whose audit outlasts any test deadline.
-var testSlowAuditStarted = make(chan struct{}, 1)
+// segments whose audit outlasts any test deadline. test-sim-hold
+// returns a valid schedule and remembers it, so a test can hold its
+// request inside the simulator.
+var (
+	testSlowAuditStarted = make(chan struct{}, 1)
+	testSimHeld          atomic.Pointer[schedule.Schedule]
+)
 
 func init() {
 	check.Register(check.Entry{
@@ -40,6 +49,14 @@ func init() {
 				s.Add(schedule.Segment{Task: k % len(ts), Core: k % m, Start: at, End: at + 100, Frequency: 1})
 			}
 			testSlowAuditStarted <- struct{}{}
+			return s, s.Energy(pm), nil
+		},
+	})
+	check.Register(check.Entry{
+		Name: "test-sim-hold",
+		Run: func(_ context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
+			s := splitSchedule(ts, m, 4)
+			testSimHeld.Store(s)
 			return s, s.Energy(pm), nil
 		},
 	})
@@ -138,6 +155,60 @@ func TestValidationHoldsWorkerSlot(t *testing.T) {
 	}
 	if status := <-statusc; status != http.StatusGatewayTimeout {
 		t.Fatalf("audited request: status %d, want 504", status)
+	}
+	waitIdle(t, srv)
+}
+
+// TestSimulatorHoldsWorkerSlot: the simulator replays the audited
+// schedule while its request still holds the single worker slot, so with
+// no admission queue a request arriving meanwhile is turned away with
+// 429. The replay still lands in the held request's response.
+func TestSimulatorHoldsWorkerSlot(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	simRun = func(s *schedule.Schedule, pm power.Model) (*sim.Report, error) {
+		if s == testSimHeld.Load() {
+			close(entered)
+			<-release
+		}
+		return sim.Run(s, pm)
+	}
+	defer func() { simRun = sim.Run }()
+
+	srv, hs := newTestServer(t, Config{Workers: 1, Queue: -1, FallbackAlgorithm: FallbackNone, CacheSize: -1})
+	type result struct {
+		status int
+		body   []byte
+	}
+	resc := make(chan result, 1)
+	hold := scheduleBody(t, "test-sim-hold", unitTasks(t, 8, 4), 4)
+	go func() {
+		resp, err := http.Post(hs.URL+"/v1/schedule", "application/json", bytes.NewReader(hold))
+		if err != nil {
+			resc <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resc <- result{resp.StatusCode, buf.Bytes()}
+	}()
+	<-entered // solved and audited; the simulator runs now
+
+	resp, body := postJSON(t, hs.URL+"/v1/schedule", scheduleBody(t, "S^F2", sectionVD(t), 4))
+	close(release)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request during the simulator: status %d, want 429: %.200s", resp.StatusCode, body)
+	}
+	held := <-resc
+	if held.status != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200: %.200s", held.status, held.body)
+	}
+	var out wire.ScheduleResponse
+	if err := json.Unmarshal(held.body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Sim == nil || len(out.Sim.Violations) > 0 || out.Sim.Wakeups != 4 {
+		t.Fatalf("held request's sim report %+v, want a clean replay with 4 wakeups", out.Sim)
 	}
 	waitIdle(t, srv)
 }

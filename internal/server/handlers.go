@@ -104,28 +104,35 @@ func writeErrorFor(w http.ResponseWriter, status int, err error) {
 	wire.WriteError(w, status, errorCode(status, err), "%v", err)
 }
 
-// solveResult carries one solver outcome and its guardrail verdict
-// across the cancellation select.
+// solveResult carries one solver outcome, its guardrail verdict and
+// its simulator report across the cancellation select.
 type solveResult struct {
 	sched      *schedule.Schedule
 	energy     float64
 	violations []check.Violation
+	sim        *wire.SimReportJSON
 	err        error
 }
 
-// runSolve executes a registered scheduler under ctx and audits its
-// schedule with the universal validator in the same goroutine, so the
-// audit holds the worker slot and runs under the same deadline as the
-// solve. Runners observe ctx and abort between solver passes, and
-// check.Audit polls it during its sweep, so a canceled request frees its
-// worker slot promptly instead of holding it until convergence; the
-// select below additionally unblocks the handler immediately, and the
-// slot is released only when the solver goroutine actually returns.
+// simRun replays a schedule for the response's sim report; tests
+// replace it to hold a request inside the simulator.
+var simRun = sim.Run
+
+// runSolve executes a registered scheduler under ctx, audits its
+// schedule with the universal validator and, when replay is set,
+// replays a clean one through the simulator, all in the same goroutine,
+// so the audit and the simulator hold the worker slot and run under the
+// same deadline as the solve. Runners observe ctx and abort between
+// solver passes, and check.Audit polls it during its sweep, so a
+// canceled request frees its worker slot promptly instead of holding it
+// until convergence; the select below additionally unblocks the
+// handler immediately, and the slot is released only when the solver
+// goroutine actually returns.
 //
 // A panic inside the solver (real or injected) is recovered into a
 // typed error matching check.ErrSolverPanic — the daemon never
 // crashes on a pathological instance.
-func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, done func()) solveResult {
+func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, replay bool, done func()) solveResult {
 	ch := make(chan solveResult, 1)
 	go func() {
 		defer done()
@@ -161,7 +168,14 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 			ch <- solveResult{err: err}
 			return
 		}
-		ch <- solveResult{sched: s, energy: energy, violations: audit.Violations}
+		res := solveResult{sched: s, energy: energy, violations: audit.Violations}
+		if replay && audit.OK() {
+			// A replay error leaves the report out; it never fails the solve.
+			if rep, err := simRun(s, pm); err == nil {
+				res.sim = wire.SimReport(rep)
+			}
+		}
+		ch <- res
 	}()
 	select {
 	case res := <-ch:
@@ -172,10 +186,10 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 }
 
 // runVerified pushes one (algorithm, instance) solve through admission,
-// the per-attempt timeout, and the validator guardrail, and reports the
-// outcome with its HTTP-style status. It is the single attempt the
-// fallback chain composes.
-func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+// the per-attempt timeout, the validator guardrail and, when replay is
+// set, the simulator, and reports the outcome with its HTTP-style
+// status. It is the single attempt the fallback chain composes.
+func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model, replay bool) (solveResult, int, error) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -187,29 +201,29 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wir
 		switch {
 		case errors.Is(err, errOverload):
 			s.metrics.overload.Add(1)
-			return nil, 0, http.StatusTooManyRequests,
+			return solveResult{}, http.StatusTooManyRequests,
 				fmt.Errorf("admission queue full, retry later")
 		default:
 			s.metrics.canceled.Add(1)
-			return nil, 0, statusForCtxErr(err),
+			return solveResult{}, statusForCtxErr(err),
 				fmt.Errorf("request ended while queued: %w", err)
 		}
 	}
 	// The slot is released by the solve goroutine itself (see runSolve),
 	// so an abandoned solve keeps its worker until it actually returns.
 	s.metrics.solves.Add(1)
-	res := runSolve(ctx, s.faults(), entry, req.Tasks, req.Cores, pm, s.gate.release)
+	res := runSolve(ctx, s.faults(), entry, req.Tasks, req.Cores, pm, replay, s.gate.release)
 	if res.err != nil {
 		switch {
 		case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
 			s.metrics.canceled.Add(1)
-			return nil, 0, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
+			return solveResult{}, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
 		case errors.Is(res.err, check.ErrSolverPanic):
 			s.metrics.solvePanics.Add(1)
-			return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
+			return solveResult{}, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
 		default:
 			s.metrics.solveErrors.Add(1)
-			return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
+			return solveResult{}, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
 		}
 	}
 
@@ -222,11 +236,11 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wir
 	}
 	if len(violations) > 0 {
 		s.metrics.verifyFailures.Add(1)
-		return nil, 0, http.StatusInternalServerError,
+		return solveResult{}, http.StatusInternalServerError,
 			fmt.Errorf("produced schedule failed verification: %w: %v (+%d more)",
 				check.ErrInvalidSchedule, violations[0], len(violations)-1)
 	}
-	return res.sched, res.energy, http.StatusOK, nil
+	return res, http.StatusOK, nil
 }
 
 // fallbackEligible reports whether a failed primary attempt should walk
@@ -298,23 +312,23 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	var primaryErr error
 	primaryStatus := http.StatusOK
 	if ok, probe := br.Admit(); ok {
-		sched, energy, status, err := s.runVerified(reqCtx, entry, req, pm)
+		res, status, err := s.runVerified(reqCtx, entry, req, pm, true)
 		if err == nil {
 			br.Success()
 			resp := &wire.ScheduleResponse{
 				Version:   wire.Version,
 				Algorithm: req.Algorithm,
 				Cores:     req.Cores,
-				Energy:    energy,
-				BusyTime:  sched.BusyTime(),
-				Makespan:  sched.Makespan(),
+				Energy:    res.energy,
+				BusyTime:  res.sched.BusyTime(),
+				Makespan:  res.sched.Makespan(),
 				Verified:  true,
-				Segments:  wire.Segments(sched),
-				Sim:       simReport(sched, pm),
+				Segments:  wire.Segments(res.sched),
+				Sim:       res.sim,
 			}
 			s.cache.Put(key, resp)
 			out := *resp
-			return &out, sched, http.StatusOK, nil
+			return &out, res.sched, http.StatusOK, nil
 		}
 		switch {
 		case breakerCountable(status, err):
@@ -352,7 +366,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 		return nil, nil, http.StatusServiceUnavailable,
 			fmt.Errorf("%v; fallback %q %w", primaryErr, fb.Name, errBreakerOpen)
 	}
-	sched, energy, status, err := s.runVerified(reqCtx, *fb, req, pm)
+	res, status, err := s.runVerified(reqCtx, *fb, req, pm, true)
 	if err != nil {
 		switch {
 		case breakerCountable(status, err):
@@ -372,28 +386,16 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 		Version:           wire.Version,
 		Algorithm:         req.Algorithm,
 		Cores:             req.Cores,
-		Energy:            energy,
-		BusyTime:          sched.BusyTime(),
-		Makespan:          sched.Makespan(),
+		Energy:            res.energy,
+		BusyTime:          res.sched.BusyTime(),
+		Makespan:          res.sched.Makespan(),
 		Verified:          true,
-		Segments:          wire.Segments(sched),
+		Segments:          wire.Segments(res.sched),
 		Degraded:          true,
 		FallbackAlgorithm: fb.Name,
-		Sim:               simReport(sched, pm),
+		Sim:               res.sim,
 	}
-	return resp, sched, http.StatusOK, nil
-}
-
-// simReport runs the discrete-event simulator over a freshly produced
-// schedule to expose its execution profile (preemption and migration
-// counts, per-core utilization) in the response; nil when the replay
-// fails, which never fails the solve itself.
-func simReport(sched *schedule.Schedule, pm power.Model) *wire.SimReportJSON {
-	rep, err := sim.Run(sched, pm)
-	if err != nil {
-		return nil
-	}
-	return wire.SimReport(rep)
+	return resp, res.sched, http.StatusOK, nil
 }
 
 // fallbackEntry resolves the configured fallback algorithm, or nil when

@@ -37,10 +37,10 @@ func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 			return nil, 0, fmt.Errorf("%w for algorithm %q", errBreakerOpen, algorithm)
 		}
 		req := &wire.ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
-		sched, energy, status, err := s.runVerified(ctx, entry, req, pm)
+		res, status, err := s.runVerified(ctx, entry, req, pm, false)
 		if err == nil {
 			br.Success()
-			return sched, energy, nil
+			return res.sched, res.energy, nil
 		}
 		switch {
 		case breakerCountable(status, err):

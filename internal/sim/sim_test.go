@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -150,21 +152,100 @@ func TestEmptySchedule(t *testing.T) {
 	if rep.OK() {
 		t.Error("empty schedule should report never-executed tasks")
 	}
+	// With no tasks either, there is nothing to replay and nothing wrong.
+	rep, err = Run(schedule.New(nil, 2), power.Unit(3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Horizon != 0 || rep.Energy != 0 || len(rep.CoreBusy) != 2 {
+		t.Errorf("empty schedule of no tasks: %+v", rep)
+	}
 }
 
-func TestBackToBackSegmentsNoConflict(t *testing.T) {
-	// τ ends at t=4 exactly when the next task starts on the same core:
-	// no conflict thanks to end-before-start event ordering.
-	ts := task.MustNew([3]float64{0, 2, 10}, [3]float64{0, 3, 10})
+func TestUnknownCoreOrTaskReportedAndSkipped(t *testing.T) {
+	ts := task.MustNew([3]float64{0, 2, 10})
 	s := schedule.New(ts, 1)
-	s.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 4, Frequency: 0.5})
-	s.Add(schedule.Segment{Task: 1, Core: 0, Start: 4, End: 10, Frequency: 0.5})
+	s.Add(schedule.Segment{Task: 0, Core: 3, Start: 0, End: 4, Frequency: 0.5})
+	s.Add(schedule.Segment{Task: 5, Core: 0, Start: 0, End: 4, Frequency: 0.5})
+	s.Add(schedule.Segment{Task: 0, Core: 0, Start: 4, End: 8, Frequency: 0.5})
 	rep, err := Run(s, power.Unit(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() {
-		t.Errorf("back-to-back segments flagged: %v", rep.Violations)
+	if len(rep.Violations) != 2 || !containsSubstr(rep.Violations, "unknown core") ||
+		!containsSubstr(rep.Violations, "unknown task") {
+		t.Fatalf("violations %q, want the unknown core and the unknown task", rep.Violations)
+	}
+	// The skipped segments neither occupy core 0 nor execute work: only
+	// the valid segment runs, without a conflict.
+	if rep.CoreBusy[0] != 4 || rep.Energy != 0.5 || rep.Completion[0] != 8 {
+		t.Errorf("busy %v energy %v completion %v, want 4, 0.5 and 8", rep.CoreBusy[0], rep.Energy, rep.Completion[0])
+	}
+}
+
+func TestBackToBackSegmentsNoConflict(t *testing.T) {
+	// τ ends at t=4 exactly when the next task starts on the same core:
+	// no conflict, because ends go before starts at equal times, in
+	// whichever order the segments are listed.
+	ts := task.MustNew([3]float64{0, 2, 10}, [3]float64{0, 3, 10})
+	first := schedule.Segment{Task: 0, Core: 0, Start: 0, End: 4, Frequency: 0.5}
+	second := schedule.Segment{Task: 1, Core: 0, Start: 4, End: 10, Frequency: 0.5}
+	for _, segs := range [][]schedule.Segment{{first, second}, {second, first}} {
+		s := schedule.New(ts, 1)
+		s.Segments = segs
+		rep, err := Run(s, power.Unit(3, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() || rep.Wakeups != 1 {
+			t.Errorf("back-to-back segments %v: wakeups %d, violations %v", segs, rep.Wakeups, rep.Violations)
+		}
+	}
+}
+
+func TestStartInsideOverhangTolerated(t *testing.T) {
+	// The first segment overhangs the second's start by less than the
+	// 1e-9 tolerance, so its end event comes after the second start: the
+	// core counts as free and no conflict is reported.
+	ts := task.MustNew([3]float64{0, 2, 10}, [3]float64{0, 2, 10})
+	s := schedule.New(ts, 1)
+	s.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 4 + 5e-10, Frequency: 0.5})
+	s.Add(schedule.Segment{Task: 1, Core: 0, Start: 4, End: 8, Frequency: 0.5})
+	rep, err := Run(s, power.Unit(3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Wakeups != 1 {
+		t.Errorf("wakeups %d, violations %v; want 1 and none", rep.Wakeups, rep.Violations)
+	}
+	// Beyond the tolerance it is a conflict.
+	s.Segments[0].End = 4 + 1e-6
+	if rep, _ = Run(s, power.Unit(3, 0)); !containsSubstr(rep.Violations, "core 0 busy with task 0") {
+		t.Errorf("overhang of 1e-6 not reported: %v", rep.Violations)
+	}
+}
+
+func TestSimultaneousStartsFirstInInputOrderWins(t *testing.T) {
+	// Three segments start at t=0 on core 0. The first listed takes the
+	// core; each later one finds it busy with the one before it.
+	ts := task.MustNew([3]float64{0, 1, 10}, [3]float64{0, 1, 10}, [3]float64{0, 1, 10})
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		s := schedule.New(ts, 1)
+		for _, id := range order {
+			s.Add(schedule.Segment{Task: id, Core: 0, Start: 0, End: 2, Frequency: 0.5})
+		}
+		rep, err := Run(s, power.Unit(3, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			fmt.Sprintf("core 0 busy with task %d when %v starts", order[0], s.Segments[1]),
+			fmt.Sprintf("core 0 busy with task %d when %v starts", order[1], s.Segments[2]),
+		}
+		sort.Strings(want)
+		if strings.Join(rep.Violations, "\n") != strings.Join(want, "\n") {
+			t.Errorf("order %v: violations %q, want %q", order, rep.Violations, want)
+		}
 	}
 }
 
@@ -228,19 +309,6 @@ func containsSubstr(hay []string, needle string) bool {
 		}
 	}
 	return false
-}
-
-func BenchmarkRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	ts := task.MustGenerate(rng, task.PaperDefaults(30))
-	pm := power.Unit(3, 0.1)
-	res := core.MustSchedule(ts, 4, pm, alloc.DER, core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(res.Final, pm); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func TestWakeupCounting(t *testing.T) {
