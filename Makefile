@@ -23,14 +23,16 @@ perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short differential-fuzz pass: every registered scheduler against the
-# independent oracles on randomized instances, plus the journal replay
-# engine against arbitrary log bytes. The checked-in corpus under
+# independent oracles on randomized instances, the journal replay
+# engine against arbitrary log bytes, and the schedule encoder against
+# encoding/json. The checked-in corpus under
 # testdata/fuzz/ also replays during plain `make test`.
 # -fuzzminimizetime=0x skips corpus minimization, which dominates wall
 # clock on short runs without improving coverage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzSchedulers -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=0x ./internal/journal
+	$(GO) test -run '^$$' -fuzz=FuzzAppendSchedule -fuzztime=10s -fuzzminimizetime=0x ./internal/server/wire
 
 # Fault-injection soak: schedd under every injection point, validating
 # client, zero crashes and zero invalid schedules tolerated. Tune with

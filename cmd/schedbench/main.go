@@ -25,6 +25,12 @@
 //	sim/n=20/m=4           sim.Run on the der/n=20/m=4 schedule
 //	sim/n=100/m=16         ... on the der/n=100/m=16 schedule
 //	sim/n=500/m=16         ... on the der/n=500/m=16 schedule
+//	wire/encode/n=20/m=4   wire.AppendSchedule of the /v1/schedule response
+//	                       (segments and sim report) of the der/n=20/m=4 schedule
+//	wire/encode/n=100/m=16 ... of the der/n=100/m=16 schedule
+//	wire/encode/n=500/m=16 ... of the der/n=500/m=16 schedule
+//	wire/encode-reflect/n=100/m=16  the same n=100 response through
+//	                       encoding/json, the reference the encoder replaced
 //
 // -quick keeps only the small cases (CI smoke). -prev loads a previous
 // report whose results become the baseline block of the new file, with
@@ -33,6 +39,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -49,6 +56,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/server/wire"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -127,7 +135,7 @@ func main() {
 		if *quick && !c.quick {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "schedbench: %-24s", c.name)
+		fmt.Fprintf(os.Stderr, "schedbench: %-30s", c.name)
 		r := testing.Benchmark(c.run)
 		res := Result{
 			Name:        c.name,
@@ -149,7 +157,7 @@ func main() {
 		rep.Baseline = base
 		rep.Comparison = compare(base.Results, rep.Results)
 		for _, c := range rep.Comparison {
-			fmt.Fprintf(os.Stderr, "schedbench: %-24s %6.2fx faster, %.3fx allocs vs baseline\n",
+			fmt.Fprintf(os.Stderr, "schedbench: %-30s %6.2fx faster, %.3fx allocs vs baseline\n",
 				c.Name, c.Speedup, c.AllocRatio)
 		}
 	}
@@ -186,6 +194,10 @@ func matrix() []benchCase {
 		{name: "sim/n=20/m=4", quick: true, run: simCase(20, 4)},
 		{name: "sim/n=100/m=16", quick: false, run: simCase(100, 16)},
 		{name: "sim/n=500/m=16", quick: false, run: simCase(500, 16)},
+		{name: "wire/encode/n=20/m=4", quick: true, run: encodeCase(20, 4)},
+		{name: "wire/encode/n=100/m=16", quick: false, run: encodeCase(100, 16)},
+		{name: "wire/encode/n=500/m=16", quick: false, run: encodeCase(500, 16)},
+		{name: "wire/encode-reflect/n=100/m=16", quick: false, run: encodeReflectCase(100, 16)},
 	}
 }
 
@@ -254,6 +266,57 @@ func simCase(n, m int) func(b *testing.B) {
 			}
 			if !rep.OK() {
 				b.Fatal(rep.Violations[0])
+			}
+		}
+	}
+}
+
+// scheduleResponse builds the /v1/schedule response schedd serves for
+// the DER schedule of the instance the matching der/* case solves.
+func scheduleResponse(b *testing.B, n, m int) *wire.ScheduleResponse {
+	_, pm, s := derSchedule(b, n, m)
+	rep, err := sim.Run(s, pm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &wire.ScheduleResponse{
+		Version: wire.Version, Algorithm: "S^F2", Cores: m,
+		Energy: s.Energy(pm), BusyTime: s.BusyTime(), Makespan: s.Makespan(),
+		Verified: true, Segments: wire.Segments(s), Sim: wire.SimReport(rep),
+	}
+}
+
+// encodeCase benchmarks wire.AppendSchedule into a reused buffer, as
+// schedd encodes into a pooled one.
+func encodeCase(n, m int) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := scheduleResponse(b, n, m)
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = wire.AppendSchedule(buf[:0], r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// encodeReflectCase benchmarks the same response through a json.Encoder
+// with HTML escaping off, into a reused buffer.
+func encodeReflectCase(n, m int) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := scheduleResponse(b, n, m)
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := enc.Encode(r); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

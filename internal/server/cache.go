@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -68,30 +67,44 @@ type cacheEntry struct {
 }
 
 // respSum hashes the solve-relevant content of a cached response. Floats
-// hash by IEEE-754 bit pattern, exactly like solveKey.
+// hash by IEEE-754 bit pattern, exactly like solveKey. It is computed on
+// every Put and every Get, so it is an inline FNV-1a-style mix over
+// 64-bit words (bytes for the name) rather than a hash.Hash fed through
+// its interface. Each step is a bijection of the running state, so a
+// change to any one hashed word always changes the sum.
 func respSum(r *wire.ScheduleResponse) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(r.Algorithm); i++ {
+		h = mix(h, uint64(r.Algorithm[i]))
 	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	h.Write([]byte(r.Algorithm))
-	h.Write([]byte{0})
-	put(uint64(r.Cores))
-	putF(r.Energy)
-	putF(r.BusyTime)
-	putF(r.Makespan)
-	put(uint64(len(r.Segments)))
-	for _, s := range r.Segments {
-		put(uint64(s.Task))
-		put(uint64(s.Core))
-		putF(s.Start)
-		putF(s.End)
-		putF(s.Frequency)
+	h = mix(h, 0) // terminate the name, as solveKey does
+	h = mix(h, uint64(r.Cores))
+	h = mix(h, math.Float64bits(r.Energy))
+	h = mix(h, math.Float64bits(r.BusyTime))
+	h = mix(h, math.Float64bits(r.Makespan))
+	h = mix(h, uint64(len(r.Segments)))
+	for i := range r.Segments {
+		s := &r.Segments[i]
+		h = mix(h, uint64(s.Task))
+		h = mix(h, uint64(s.Core))
+		h = mix(h, math.Float64bits(s.Start))
+		h = mix(h, math.Float64bits(s.End))
+		h = mix(h, math.Float64bits(s.Frequency))
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// mix folds v into h: the FNV-1a xor-multiply, then an xor-shift so a
+// change in the high bits also reaches the low bits of later products
+// (otherwise two flipped sign bits would cancel).
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * fnvPrime64
+	return h ^ h>>32
 }
 
 // newSolveCache returns a cache holding up to capacity outcomes; a

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/power"
@@ -92,5 +94,67 @@ func TestSolveCacheDisabled(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("disabled cache stored an entry")
+	}
+}
+
+// TestSolveCacheDetectsEveryHashedField flips one bit in each field the
+// integrity checksum covers, in a stored entry, and requires the next
+// Get to report the entry corrupted.
+func TestSolveCacheDetectsEveryHashedField(t *testing.T) {
+	flipF := func(f *float64, bit uint) { *f = math.Float64frombits(math.Float64bits(*f) ^ 1<<bit) }
+	flipI := func(i *int, bit uint) { *i ^= 1 << bit }
+	fields := map[string]func(r *wire.ScheduleResponse){
+		"algorithm":     func(r *wire.ScheduleResponse) { r.Algorithm = "S^F3" },
+		"cores":         func(r *wire.ScheduleResponse) { flipI(&r.Cores, 0) },
+		"energy":        func(r *wire.ScheduleResponse) { flipF(&r.Energy, 0) },
+		"busy_time":     func(r *wire.ScheduleResponse) { flipF(&r.BusyTime, 63) },
+		"makespan":      func(r *wire.ScheduleResponse) { flipF(&r.Makespan, 17) },
+		"segment count": func(r *wire.ScheduleResponse) { r.Segments = r.Segments[:len(r.Segments)-1] },
+	}
+	segs := []wire.SegmentJSON{{Task: 0, Core: 1, Start: 0, End: 8, Frequency: 0.8}, {Task: 1, Core: 0, Start: 2, End: 14, Frequency: 0.6}}
+	for i := range segs {
+		fields[fmt.Sprintf("segments[%d].task", i)] = func(r *wire.ScheduleResponse) { flipI(&r.Segments[i].Task, 1) }
+		fields[fmt.Sprintf("segments[%d].core", i)] = func(r *wire.ScheduleResponse) { flipI(&r.Segments[i].Core, 62) }
+		fields[fmt.Sprintf("segments[%d].start", i)] = func(r *wire.ScheduleResponse) { flipF(&r.Segments[i].Start, 63) }
+		fields[fmt.Sprintf("segments[%d].end", i)] = func(r *wire.ScheduleResponse) { flipF(&r.Segments[i].End, 52) }
+		fields[fmt.Sprintf("segments[%d].frequency", i)] = func(r *wire.ScheduleResponse) { flipF(&r.Segments[i].Frequency, 0) }
+	}
+	c := newSolveCache(4)
+	k := solveKey("S^F2", nil, 4, power.Model{Gamma: 1, Alpha: 3})
+	for name, flip := range fields {
+		r := &wire.ScheduleResponse{
+			Algorithm: "S^F2", Cores: 4, Energy: 31.8362, BusyTime: 20, Makespan: 22,
+			Segments: append([]wire.SegmentJSON(nil), segs...),
+		}
+		c.Put(k, r)
+		if _, ok, corrupted := c.Get(k); !ok || corrupted {
+			t.Fatalf("%s: intact entry not served (ok=%v corrupted=%v)", name, ok, corrupted)
+		}
+		flip(r) // the cache shares the stored response
+		if got, ok, corrupted := c.Get(k); ok || !corrupted || got != nil {
+			t.Fatalf("%s: flipped entry got ok=%v corrupted=%v, want a corrupted miss", name, ok, corrupted)
+		}
+		if _, ok, corrupted := c.Get(k); ok || corrupted {
+			t.Fatalf("%s: corrupted entry was not dropped", name)
+		}
+	}
+	// Fields outside the checksum do not make an entry corrupt.
+	r := &wire.ScheduleResponse{Algorithm: "S^F2", Segments: segs}
+	c.Put(k, r)
+	r.ElapsedMS, r.Cached = 7, true
+	if _, ok, corrupted := c.Get(k); !ok || corrupted {
+		t.Fatalf("unhashed fields: ok=%v corrupted=%v", ok, corrupted)
+	}
+}
+
+func BenchmarkRespSum(b *testing.B) {
+	segs := make([]wire.SegmentJSON, 6000)
+	for i := range segs {
+		segs[i] = wire.SegmentJSON{Task: i % 100, Core: i % 16, Start: float64(i), End: float64(i) + 0.5, Frequency: 0.75}
+	}
+	r := &wire.ScheduleResponse{Algorithm: "S^F2", Cores: 16, Segments: segs}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		respSum(r)
 	}
 }

@@ -537,15 +537,16 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(idx)
 	wg.Wait()
-	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
+	wire.WriteBatch(w, &wire.BatchResponse{
 		Version:   wire.Version,
 		Items:     items,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 
-// respondSchedule writes either the JSON schedule payload or, with
-// ?trace=chrome, a Chrome trace-event document of the schedule (ready
+// respondSchedule writes either the JSON schedule payload (encoded by
+// wire.AppendSchedule before the header is sent, so an unencodable
+// response is a 500 envelope) or, with ?trace=chrome, a Chrome trace-event document of the schedule (ready
 // for chrome://tracing / Perfetto). Cached responses reconstruct the
 // schedule from the stored segments.
 func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *wire.ScheduleResponse, sched *schedule.Schedule) {
@@ -566,7 +567,7 @@ func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *w
 		}
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	wire.WriteSchedule(w, resp)
 }
 
 // statusForCtxErr maps a context error to the HTTP status of the (likely

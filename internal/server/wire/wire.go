@@ -1,6 +1,9 @@
 // Package wire holds the JSON types of the schedd HTTP API, shared by
 // the server (internal/server) and its clients (cmd/schedload,
-// cmd/schedbench), so the two sides cannot drift apart silently.
+// cmd/schedbench), so the two sides cannot drift apart silently. Schedule
+// and batch responses are encoded by AppendSchedule and AppendBatch,
+// whose output is byte-identical to encoding/json's; every other body
+// goes through encoding/json.
 package wire
 
 import (
